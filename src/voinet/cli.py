@@ -8,8 +8,10 @@ Subcommands:
   baseline, emit a metrics CSV and optionally a transmission log
 
 All emitted files are deterministic byte-for-byte given identical inputs;
-reals are formatted with six decimals.  Exit codes: 0 success, 2 missing
-or unparseable config, 3 domain error, 1 anything else.
+reals are formatted with six decimals.  Exit codes: 0 success; 2 config
+file missing, unreadable, not UTF-8 JSON or invalid (the message names
+the field); 3 out-of-domain argument; 1 anything else, such as an output
+file that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .errors import (
     UnsupportedDimensionError,
     VoinetError,
 )
-from .model import VoiConfig, assess, instantiate_matrix, load_voi_config
-from .sim import load_scenario, run_logged, write_transmission_log
+from .config import load_scenario, load_voi_config
+from .model import VoiConfig, assess, instantiate_matrix
+from .sim import run, write_transmission_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,7 +118,7 @@ def _cmd_check(args) -> int:
     config = load_voi_config(args.config)
     scores, report = assess(config, args.gamma)
     print(f"config: {args.config}")
-    print(f"application: {config.application.kind.value}")
+    print(f"application: {config.application.value}")
     print(f"gamma: {args.gamma:.6f}")
     print("attributes: " + " ".join(a.value for a in config.attributes))
     matrix_weights = ahp.principal_eigenvector(instantiate_matrix(config, args.gamma)).weights
@@ -151,7 +154,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    results = {policy: run_logged(scenario, policy) for policy in ("voi", "fifo")}
+    results = {policy: run(scenario, policy) for policy in ("voi", "fifo")}
     sources = scenario.voi_config.sources
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except VoinetError as exc:
+    except (VoinetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

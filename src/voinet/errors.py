@@ -37,9 +37,11 @@ class TemporalOrderError(VoinetError):
 class ConfigError(VoinetError):
     """A config document is missing, unparseable, or has an invalid field.
 
-    ``field`` names the offending entry (dotted path into the document).
+    ``field`` names the offending entry (dotted path into the document);
+    ``reason`` says what is wrong with it.
     """
 
-    def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
         self.field = field
+        self.reason = reason

@@ -8,14 +8,13 @@ per-attribute comparison matrices, and synthesize the two into one score
 per source.  Assessed (base) value is then modulated at read time by
 time, space, and quality decay.
 
-Configs are plain dataclasses and round-trip through JSON documents; the
-attribute matrix may leave one above-diagonal cell symbolic (the
+Configs are plain dataclasses (``voinet.config`` reads them from JSON);
+the attribute matrix may leave one above-diagonal cell open (the
 ``gamma`` slot) to be filled per assessment.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,33 +56,6 @@ class SpaceShape(Enum):
 
 
 @dataclass(frozen=True)
-class Application:
-    """Application profile; the requirement fields are informational only."""
-
-    kind: ApplicationKind
-    max_latency_ms: float
-    min_reliability: float
-    throughput_class: str
-
-    def __post_init__(self):
-        if self.max_latency_ms <= 0:
-            raise DomainError(f"max_latency_ms must be positive, got {self.max_latency_ms}")
-        if not (0.0 < self.min_reliability <= 1.0):
-            raise DomainError(f"min_reliability must be in (0, 1], got {self.min_reliability}")
-
-
-#: Representative requirement profiles per application domain.
-APPLICATIONS = {
-    ApplicationKind.INFOTAINMENT: Application(ApplicationKind.INFOTAINMENT, 100.0, 0.95, "high"),
-    ApplicationKind.SAFETY: Application(ApplicationKind.SAFETY, 10.0, 0.9999, "low"),
-    ApplicationKind.COOPERATIVE_PERCEPTION: Application(
-        ApplicationKind.COOPERATIVE_PERCEPTION, 100.0, 0.99, "high"
-    ),
-    ApplicationKind.PLATOONING: Application(ApplicationKind.PLATOONING, 10.0, 0.9999, "medium"),
-}
-
-
-@dataclass(frozen=True)
 class Metadata:
     """Annotation attached to a generated piece of information."""
 
@@ -92,16 +64,12 @@ class Metadata:
     origin_position: tuple[float, float]
     size_bits: int
     quality: float
-    urgency_level: int = 0
-    hop_count: int = 0
 
     def __post_init__(self):
         if self.size_bits <= 0:
             raise DomainError(f"size_bits must be positive, got {self.size_bits}")
         if not (0.0 <= self.quality <= 1.0):
             raise DomainError(f"quality must be in [0, 1], got {self.quality}")
-        if self.hop_count < 0:
-            raise DomainError(f"hop_count must be >= 0, got {self.hop_count}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +103,7 @@ class VoiConfig:
     per attribute.
     """
 
-    application: Application
+    application: ApplicationKind
     attributes: tuple[Attribute, ...]
     sources: tuple[SourceKind, ...]
     attribute_matrix: np.ndarray
@@ -172,27 +140,27 @@ def validate_config(config: VoiConfig) -> None:
         if not (0 <= i < n_attr and 0 <= j < n_attr and i < j):
             raise ConfigError("gamma_slot", f"({i},{j}) is not an above-diagonal cell")
     # Probe at gamma=1 checks every fixed cell of the template.
-    result = ahp.validate(_substitute(config, 1.0))
-    if not result.ok:
-        raise ConfigError("attribute_matrix", result.violations[0].message)
+    _check_matrix(_substitute(config, 1.0), "attribute_matrix")
     for attribute in config.attributes:
+        where = f"conditional_matrices.{attribute.value}"
         if attribute not in config.conditional_matrices:
-            raise ConfigError(
-                f"conditional_matrices.{attribute.value}", "missing conditional matrix"
-            )
+            raise ConfigError(where, "missing conditional matrix")
         m = np.asarray(config.conditional_matrices[attribute], dtype=float)
         if m.shape != (n_src, n_src):
-            raise ConfigError(
-                f"conditional_matrices.{attribute.value}",
-                f"expected shape {(n_src, n_src)}, got {m.shape}",
-            )
-        result = ahp.validate(m)
-        if not result.ok:
-            raise ConfigError(
-                f"conditional_matrices.{attribute.value}", result.violations[0].message
-            )
+            raise ConfigError(where, f"expected shape {(n_src, n_src)}, got {m.shape}")
+        _check_matrix(m, where)
     if not (0.0 < config.cr_threshold):
         raise ConfigError("cr_threshold", f"must be positive, got {config.cr_threshold}")
+
+
+def _check_matrix(matrix: np.ndarray, field: str) -> None:
+    """Raise ``ConfigError(field)`` unless ``matrix`` is a valid comparison matrix."""
+    try:
+        result = ahp.validate(matrix)
+    except DomainError as exc:  # a non-positive or non-finite entry
+        raise ConfigError(field, str(exc))
+    if not result.ok:
+        raise ConfigError(field, result.violations[0].message)
 
 
 def _substitute(config: VoiConfig, gamma: float) -> np.ndarray:
@@ -209,9 +177,7 @@ def instantiate_matrix(config: VoiConfig, gamma: float) -> np.ndarray:
     if not (ahp.SAATY_MIN <= gamma <= ahp.SAATY_MAX):
         raise DomainError(f"gamma = {gamma} outside Saaty bounds [1/9, 9]")
     m = _substitute(config, gamma)
-    result = ahp.validate(m)
-    if not result.ok:
-        raise ConfigError("attribute_matrix", result.violations[0].message)
+    _check_matrix(m, "attribute_matrix")
     return m
 
 
@@ -278,7 +244,7 @@ def safety_config() -> VoiConfig:
     time moderately favors position (score 3), space is neutral.
     """
     return VoiConfig(
-        application=APPLICATIONS[ApplicationKind.SAFETY],
+        application=ApplicationKind.SAFETY,
         attributes=(
             Attribute.TIME_DEPENDENCY,
             Attribute.SPACE_DEPENDENCY,
@@ -300,196 +266,3 @@ def safety_config() -> VoiConfig:
         },
         decay=DecayProfile(time_half_life_ms=500.0, space_radius_m=300.0),
     )
-
-
-# --- JSON serialization -------------------------------------------------
-
-GAMMA_CELL = "gamma"
-GAMMA_RECIPROCAL_CELL = "1/gamma"
-
-
-def _parse_enum(enum_cls, value, field_name):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(field_name, f"unknown value {value!r}; expected one of: {allowed}")
-
-
-def _require(doc: dict, key: str, prefix: str = ""):
-    if key not in doc:
-        raise ConfigError(prefix + key, "missing required field")
-    return doc[key]
-
-
-def _parse_position(value, field_name) -> tuple[float, float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(field_name, f"expected [x, y], got {value!r}")
-    try:
-        return (float(value[0]), float(value[1]))
-    except (TypeError, ValueError):
-        raise ConfigError(field_name, f"coordinates must be numbers, got {value!r}")
-
-
-def _parse_attribute_matrix(cells, field_name):
-    """Numeric matrix plus the gamma slot parsed from string cells."""
-    if not isinstance(cells, list) or not all(isinstance(row, list) for row in cells):
-        raise ConfigError(field_name, "expected a list of rows")
-    n = len(cells)
-    matrix = np.ones((n, n))
-    slot = None
-    for i, row in enumerate(cells):
-        if len(row) != n:
-            raise ConfigError(field_name, f"row {i} has {len(row)} cells, expected {n}")
-        for j, cell in enumerate(row):
-            where = f"{field_name}[{i}][{j}]"
-            if cell == GAMMA_CELL:
-                if i >= j:
-                    raise ConfigError(where, "gamma slot must be above the diagonal")
-                if slot is not None:
-                    raise ConfigError(where, f"second gamma slot; first at {slot}")
-                slot = (i, j)
-            elif cell == GAMMA_RECIPROCAL_CELL:
-                continue  # checked against the slot below
-            elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                matrix[i, j] = float(cell)
-            else:
-                raise ConfigError(where, f"expected a number, {GAMMA_CELL!r}, or "
-                                         f"{GAMMA_RECIPROCAL_CELL!r}, got {cell!r}")
-    reciprocal_cells = [
-        (i, j)
-        for i, row in enumerate(cells)
-        for j, cell in enumerate(row)
-        if cell == GAMMA_RECIPROCAL_CELL
-    ]
-    if slot is None:
-        if reciprocal_cells:
-            i, j = reciprocal_cells[0]
-            raise ConfigError(f"{field_name}[{i}][{j}]", "1/gamma cell without a gamma slot")
-        return matrix, None
-    mirror = (slot[1], slot[0])
-    if reciprocal_cells != [mirror]:
-        raise ConfigError(
-            field_name,
-            f"gamma slot at {slot} requires exactly one {GAMMA_RECIPROCAL_CELL!r} "
-            f"cell at {mirror}, found {reciprocal_cells}",
-        )
-    return matrix, slot
-
-
-def _parse_application(value, field_name) -> Application:
-    if isinstance(value, str):
-        return APPLICATIONS[_parse_enum(ApplicationKind, value, field_name)]
-    if isinstance(value, dict):
-        kind = _parse_enum(ApplicationKind, _require(value, "kind", field_name + "."), field_name + ".kind")
-        defaults = APPLICATIONS[kind]
-        try:
-            return Application(
-                kind=kind,
-                max_latency_ms=float(value.get("max_latency_ms", defaults.max_latency_ms)),
-                min_reliability=float(value.get("min_reliability", defaults.min_reliability)),
-                throughput_class=str(value.get("throughput_class", defaults.throughput_class)),
-            )
-        except DomainError as exc:
-            raise ConfigError(field_name, str(exc))
-    raise ConfigError(field_name, f"expected an application name or object, got {value!r}")
-
-
-def voi_config_from_dict(doc: dict, prefix: str = "") -> VoiConfig:
-    """Build a ``VoiConfig`` from a parsed JSON document.
-
-    Raises ``ConfigError`` naming the offending field for any missing or
-    ill-typed entry, and validates the result.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(prefix or "document", f"expected an object, got {type(doc).__name__}")
-    application = _parse_application(_require(doc, "application", prefix), prefix + "application")
-    attributes = tuple(
-        _parse_enum(Attribute, a, f"{prefix}attributes[{i}]")
-        for i, a in enumerate(_require(doc, "attributes", prefix))
-    )
-    sources = tuple(
-        _parse_enum(SourceKind, s, f"{prefix}sources[{i}]")
-        for i, s in enumerate(_require(doc, "sources", prefix))
-    )
-    matrix, slot = _parse_attribute_matrix(
-        _require(doc, "attribute_matrix", prefix), prefix + "attribute_matrix"
-    )
-    raw_conditionals = _require(doc, "conditional_matrices", prefix)
-    if not isinstance(raw_conditionals, dict):
-        raise ConfigError(prefix + "conditional_matrices", "expected an object keyed by attribute")
-    conditionals = {}
-    for key, cells in raw_conditionals.items():
-        attribute = _parse_enum(Attribute, key, f"{prefix}conditional_matrices.{key}")
-        try:
-            conditionals[attribute] = np.asarray(cells, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{prefix}conditional_matrices.{key}", f"expected a numeric matrix, got {cells!r}"
-            )
-    raw_decay = _require(doc, "decay", prefix)
-    try:
-        decay = DecayProfile(
-            time_half_life_ms=float(_require(raw_decay, "time_half_life_ms", prefix + "decay.")),
-            space_radius_m=float(_require(raw_decay, "space_radius_m", prefix + "decay.")),
-            space_shape=_parse_enum(
-                SpaceShape,
-                raw_decay.get("space_shape", SpaceShape.NEAR_PREFERRED.value),
-                prefix + "decay.space_shape",
-            ),
-        )
-    except DomainError as exc:
-        raise ConfigError(prefix + "decay", str(exc))
-    config = VoiConfig(
-        application=application,
-        attributes=attributes,
-        sources=sources,
-        attribute_matrix=matrix,
-        conditional_matrices=conditionals,
-        decay=decay,
-        gamma_slot=slot,
-        cr_threshold=float(doc.get("cr_threshold", ahp.DEFAULT_CR_THRESHOLD)),
-    )
-    validate_config(config)
-    return config
-
-
-def voi_config_to_dict(config: VoiConfig) -> dict:
-    """Inverse of ``voi_config_from_dict``; gamma slot cells become strings."""
-    cells: list[list[object]] = config.attribute_matrix.tolist()
-    if config.gamma_slot is not None:
-        i, j = config.gamma_slot
-        cells[i][j] = GAMMA_CELL
-        cells[j][i] = GAMMA_RECIPROCAL_CELL
-    return {
-        "application": {
-            "kind": config.application.kind.value,
-            "max_latency_ms": config.application.max_latency_ms,
-            "min_reliability": config.application.min_reliability,
-            "throughput_class": config.application.throughput_class,
-        },
-        "attributes": [a.value for a in config.attributes],
-        "sources": [s.value for s in config.sources],
-        "attribute_matrix": cells,
-        "conditional_matrices": {
-            a.value: config.conditional_matrices[a].tolist() for a in config.attributes
-        },
-        "decay": {
-            "time_half_life_ms": config.decay.time_half_life_ms,
-            "space_radius_m": config.decay.space_radius_m,
-            "space_shape": config.decay.space_shape.value,
-        },
-        "cr_threshold": config.cr_threshold,
-    }
-
-
-def load_voi_config(path) -> VoiConfig:
-    """Load a value-assessment config from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(str(path), "config file not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}")
-    return voi_config_from_dict(doc)

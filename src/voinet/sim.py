@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from . import ahp
 from .errors import ConfigError, DomainError
 from .model import (
     Metadata,
@@ -51,7 +52,6 @@ class ScenarioConfig:
     receiver_position: tuple[float, float]
     voi_config: VoiConfig
     gamma: float
-    rng_seed: int = 0  # reserved for stochastic generator extensions
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ class SimState:
 def validate_scenario(config: ScenarioConfig) -> None:
     """Raise ``ConfigError`` naming the offending field for invalid scenarios."""
     validate_config(config.voi_config)
+    if not (ahp.SAATY_MIN <= config.gamma <= ahp.SAATY_MAX):
+        raise ConfigError("gamma", f"{config.gamma} outside Saaty bounds [1/9, 9]")
     if config.duration_slots < 0:
         raise ConfigError("duration_slots", f"must be >= 0, got {config.duration_slots}")
     if config.slot_ms <= 0:
@@ -247,8 +249,6 @@ def step(state: SimState, policy: str = "voi") -> SimState:
 
 def initial_state(config: ScenarioConfig) -> SimState:
     validate_scenario(config)
-    if not (0 <= config.rng_seed):
-        raise ConfigError("rng_seed", f"must be >= 0, got {config.rng_seed}")
     return SimState(
         config=config,
         base_scores=source_scores(config.voi_config, config.gamma),
@@ -271,21 +271,15 @@ def _finalize(state: SimState) -> SimMetrics:
     )
 
 
-def run_logged(
+def run(
     config: ScenarioConfig, policy: str = "voi"
 ) -> tuple[SimMetrics, list[TransmissionRecord]]:
-    """Run the scenario end to end, returning metrics and the transmission log."""
+    """Run the scenario end to end: its metrics and transmission log, deterministic."""
     _ordering_key(policy)  # reject unknown policies before running
     state = initial_state(config)
     for _ in range(config.duration_slots):
         step(state, policy)
     return _finalize(state), state.log
-
-
-def run(config: ScenarioConfig, policy: str = "voi") -> SimMetrics:
-    """Run the scenario end to end; deterministic given the config."""
-    metrics, _ = run_logged(config, policy)
-    return metrics
 
 
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:
@@ -294,86 +288,3 @@ def write_transmission_log(records: list[TransmissionRecord], fh) -> None:
     writer.writerow(["slot", "message_id", "source", "effective_voi", "size_bits"])
     for r in records:
         writer.writerow([r.slot, r.message_id, r.source.value, f"{r.effective_voi:.6f}", r.size_bits])
-
-
-# --- scenario files ------------------------------------------------------
-
-
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Build a ``ScenarioConfig`` from a parsed JSON document."""
-    from .model import _parse_enum, _parse_position, _require, voi_config_from_dict
-
-    if not isinstance(doc, dict):
-        raise ConfigError("document", f"expected an object, got {type(doc).__name__}")
-    generators = []
-    raw_generators = _require(doc, "generators")
-    if not isinstance(raw_generators, list):
-        raise ConfigError("generators", "expected a list")
-    for k, raw in enumerate(raw_generators):
-        where = f"generators[{k}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(where, f"expected an object, got {raw!r}")
-        generators.append(
-            GeneratorSpec(
-                source=_parse_enum(SourceKind, _require(raw, "source", where + "."), where + ".source"),
-                period_slots=int(_require(raw, "period_slots", where + ".")),
-                size_bits=int(_require(raw, "size_bits", where + ".")),
-                quality=float(_require(raw, "quality", where + ".")),
-                position=_parse_position(_require(raw, "position", where + "."), where + ".position"),
-            )
-        )
-    try:
-        config = ScenarioConfig(
-            duration_slots=int(_require(doc, "duration_slots")),
-            slot_ms=float(_require(doc, "slot_ms")),
-            channel_bits_per_slot=int(_require(doc, "channel_bits_per_slot")),
-            generators=generators,
-            receiver_position=_parse_position(
-                _require(doc, "receiver_position"), "receiver_position"
-            ),
-            voi_config=voi_config_from_dict(_require(doc, "voi_config"), "voi_config."),
-            gamma=float(_require(doc, "gamma")),
-            rng_seed=int(doc.get("rng_seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("scenario", f"ill-typed field: {exc}")
-    validate_scenario(config)
-    return config
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    from .model import voi_config_to_dict
-
-    return {
-        "duration_slots": config.duration_slots,
-        "slot_ms": config.slot_ms,
-        "channel_bits_per_slot": config.channel_bits_per_slot,
-        "generators": [
-            {
-                "source": g.source.value,
-                "period_slots": g.period_slots,
-                "size_bits": g.size_bits,
-                "quality": g.quality,
-                "position": list(g.position),
-            }
-            for g in config.generators
-        ],
-        "receiver_position": list(config.receiver_position),
-        "voi_config": voi_config_to_dict(config.voi_config),
-        "gamma": config.gamma,
-        "rng_seed": config.rng_seed,
-    }
-
-
-def load_scenario(path) -> ScenarioConfig:
-    """Load a simulation scenario from a JSON file."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(str(path), "scenario file not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}")
-    return scenario_from_dict(doc)

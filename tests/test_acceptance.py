@@ -13,6 +13,7 @@ import numpy as np
 
 from voinet import ahp
 from voinet.cli import consistent_region, gamma_sweep
+from voinet.config import load_voi_config
 from voinet.model import (
     DecayProfile,
     Metadata,
@@ -20,14 +21,13 @@ from voinet.model import (
     SpaceShape,
     effective_voi,
     instantiate_matrix,
-    load_voi_config,
     safety_config,
 )
 from voinet.sim import (
     GeneratorSpec,
     Message,
     ScenarioConfig,
-    run_logged,
+    run,
     schedule,
     write_transmission_log,
 )
@@ -278,8 +278,8 @@ def test_acceptance_scheduler_oracle_and_dominance():
     dominance_breaks = 0
     for _ in range(100):
         scenario = random_scenario(rng, equal_sizes=True)
-        _, voi_log = run_logged(scenario, "voi")
-        _, fifo_log = run_logged(scenario, "fifo")
+        _, voi_log = run(scenario, "voi")
+        _, fifo_log = run(scenario, "fifo")
         voi_cum = np.cumsum(per_slot_value(voi_log, scenario.duration_slots))
         fifo_cum = np.cumsum(per_slot_value(fifo_log, scenario.duration_slots))
         if not np.all(voi_cum >= fifo_cum - 1e-9):
@@ -306,7 +306,7 @@ def test_acceptance_conservation_and_determinism():
     for index in range(100):
         scenario = random_scenario(rng, equal_sizes=bool(index % 2))
         for policy in ("voi", "fifo"):
-            metrics, log = run_logged(scenario, policy)
+            metrics, log = run(scenario, policy)
             balanced = metrics.generated_count == (
                 metrics.delivered_total + metrics.dropped_count + metrics.residual_count
             )
@@ -318,7 +318,7 @@ def test_acceptance_conservation_and_determinism():
                 bits[record.slot] += record.size_bits
             if np.any(bits > scenario.channel_bits_per_slot):
                 failures.append(f"scenario {index} {policy}: slot exceeded the bit budget")
-            metrics_again, log_again = run_logged(scenario, policy)
+            metrics_again, log_again = run(scenario, policy)
             first, second = io.StringIO(), io.StringIO()
             write_transmission_log(log, first)
             write_transmission_log(log_again, second)

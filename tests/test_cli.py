@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
+from voinet.config import load_voi_config
 from voinet.errors import DomainError
-from voinet.model import load_voi_config, voi_config_to_dict
 
 
 @pytest.fixture
@@ -249,8 +249,8 @@ def test_simulate_invalid_scenario_names_field(capsys, tmp_path, overload_path):
     assert "duration_slots" in capsys.readouterr().err
 
 
-def test_check_invalid_config_names_field(capsys, tmp_path, safety):
-    doc = voi_config_to_dict(safety)
+def test_check_invalid_config_names_field(capsys, tmp_path, safety_path):
+    doc = json.loads(open(safety_path, encoding="utf-8").read())
     doc["sources"] = ["surrounding"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voinet import ahp
+from voinet.config import load_voi_config, voi_config_from_dict
 from voinet.errors import ConfigError, DomainError, TemporalOrderError
 from voinet.model import (
-    APPLICATIONS,
-    Application,
     ApplicationKind,
     Attribute,
     DecayProfile,
@@ -21,14 +20,12 @@ from voinet.model import (
     assess,
     effective_voi,
     instantiate_matrix,
-    load_voi_config,
     safety_config,
     source_scores,
     validate_config,
-    voi_config_from_dict,
-    voi_config_to_dict,
 )
 
+from conftest import REPO_ROOT
 from oracles import decayed_value
 
 
@@ -84,22 +81,6 @@ def test_space_shapes_closed():
     assert {s.value for s in SpaceShape} == {"near_preferred", "far_preferred"}
 
 
-def test_applications_registry_covers_all_kinds():
-    assert set(APPLICATIONS) == set(ApplicationKind)
-    for kind, app in APPLICATIONS.items():
-        assert app.kind is kind
-
-
-def test_application_rejects_bad_latency():
-    with pytest.raises(DomainError):
-        Application(ApplicationKind.SAFETY, 0.0, 0.99, "low")
-
-
-def test_application_rejects_bad_reliability():
-    with pytest.raises(DomainError):
-        Application(ApplicationKind.SAFETY, 10.0, 1.5, "low")
-
-
 def test_metadata_rejects_non_positive_size():
     with pytest.raises(DomainError):
         meta(size_bits=0)
@@ -110,11 +91,6 @@ def test_metadata_rejects_quality_outside_unit_interval():
         meta(quality=1.5)
     with pytest.raises(DomainError):
         meta(quality=-0.1)
-
-
-def test_metadata_rejects_negative_hops():
-    with pytest.raises(DomainError):
-        Metadata(SourceKind.POSITION, 0.0, (0.0, 0.0), 10, 0.5, hop_count=-1)
 
 
 def test_decay_profile_rejects_non_positive_parameters():
@@ -350,11 +326,6 @@ def assert_configs_equal(a, b):
     assert a.cr_threshold == b.cr_threshold
 
 
-def test_json_round_trip_is_exact(safety):
-    doc = json.loads(json.dumps(voi_config_to_dict(safety)))
-    assert_configs_equal(voi_config_from_dict(doc), safety)
-
-
 def test_bundled_config_matches_programmatic(configs_dir, safety):
     loaded = load_voi_config(configs_dir / "safety.json")
     assert_configs_equal(loaded, safety)
@@ -375,8 +346,8 @@ def test_load_invalid_json(tmp_path):
     assert "invalid JSON" in str(excinfo.value)
 
 
-def config_doc(safety):
-    return voi_config_to_dict(safety)
+def config_doc():
+    return json.loads((REPO_ROOT / "configs" / "safety.json").read_text(encoding="utf-8"))
 
 
 def expect_config_error(doc, field):
@@ -386,113 +357,105 @@ def expect_config_error(doc, field):
     return excinfo.value
 
 
-def test_missing_sources_field(safety):
-    doc = config_doc(safety)
+def test_missing_sources_field():
+    doc = config_doc()
     del doc["sources"]
     expect_config_error(doc, "sources")
 
 
-def test_single_source_rejected(safety):
-    doc = config_doc(safety)
+def test_single_source_rejected():
+    doc = config_doc()
     doc["sources"] = ["surrounding"]
     expect_config_error(doc, "sources")
 
 
-def test_duplicate_attributes_rejected(safety):
-    doc = config_doc(safety)
+def test_duplicate_attributes_rejected():
+    doc = config_doc()
     doc["attributes"][1] = doc["attributes"][0]
     expect_config_error(doc, "attributes")
 
 
-def test_unknown_source_name(safety):
-    doc = config_doc(safety)
+def test_unknown_source_name():
+    doc = config_doc()
     doc["sources"][0] = "telepathy"
     expect_config_error(doc, "sources[0]")
 
 
-def test_gamma_slot_on_diagonal_rejected(safety):
-    doc = config_doc(safety)
+def test_gamma_slot_on_diagonal_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][0][0] = "gamma"
     expect_config_error(doc, "attribute_matrix[0][0]")
 
 
-def test_second_gamma_slot_rejected(safety):
-    doc = config_doc(safety)
+def test_second_gamma_slot_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][0][1] = "gamma"
     expect_config_error(doc, "attribute_matrix[1][2]")
 
 
-def test_reciprocal_cell_without_slot_rejected(safety):
-    doc = config_doc(safety)
+def test_reciprocal_cell_without_slot_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][1][2] = 1.0
     expect_config_error(doc, "attribute_matrix[2][1]")
 
 
-def test_gamma_slot_without_mirror_rejected(safety):
-    doc = config_doc(safety)
+def test_gamma_slot_without_mirror_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][2][1] = 0.5
     expect_config_error(doc, "attribute_matrix")
 
 
-def test_non_numeric_cell_rejected(safety):
-    doc = config_doc(safety)
+def test_non_numeric_cell_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][0][1] = "three"
     expect_config_error(doc, "attribute_matrix[0][1]")
 
 
-def test_fixed_cell_outside_scale_rejected(safety):
-    doc = config_doc(safety)
+def test_fixed_cell_outside_scale_rejected():
+    doc = config_doc()
     doc["attribute_matrix"][0][2] = 10.0
     expect_config_error(doc, "attribute_matrix")
 
 
-def test_missing_conditional_matrix(safety):
-    doc = config_doc(safety)
+def test_missing_conditional_matrix():
+    doc = config_doc()
     del doc["conditional_matrices"]["information_quality"]
     expect_config_error(doc, "conditional_matrices.information_quality")
 
 
-def test_wrong_conditional_shape(safety):
-    doc = config_doc(safety)
+def test_wrong_conditional_shape():
+    doc = config_doc()
     doc["conditional_matrices"]["time_dependency"] = [[1.0]]
     expect_config_error(doc, "conditional_matrices.time_dependency")
 
 
-def test_non_reciprocal_conditional(safety):
-    doc = config_doc(safety)
+def test_non_reciprocal_conditional():
+    doc = config_doc()
     doc["conditional_matrices"]["time_dependency"] = [[1.0, 2.0], [2.0, 1.0]]
     expect_config_error(doc, "conditional_matrices.time_dependency")
 
 
-def test_invalid_decay_parameters(safety):
-    doc = config_doc(safety)
+def test_invalid_decay_parameters():
+    doc = config_doc()
     doc["decay"]["time_half_life_ms"] = -5.0
     expect_config_error(doc, "decay")
 
 
-def test_unknown_application_name(safety):
-    doc = config_doc(safety)
+def test_unknown_application_name():
+    doc = config_doc()
     doc["application"] = "juggling"
     expect_config_error(doc, "application")
 
 
-def test_application_as_plain_name(safety):
-    doc = config_doc(safety)
+def test_application_as_plain_name():
+    doc = config_doc()
     doc["application"] = "safety"
     config = voi_config_from_dict(doc)
-    assert config.application == APPLICATIONS[ApplicationKind.SAFETY]
+    assert config.application is ApplicationKind.SAFETY
 
 
-def test_application_object_overrides_defaults(safety):
-    doc = config_doc(safety)
-    doc["application"] = {"kind": "safety", "max_latency_ms": 20.0}
-    config = voi_config_from_dict(doc)
-    assert config.application.max_latency_ms == 20.0
-    assert config.application.min_reliability == APPLICATIONS[ApplicationKind.SAFETY].min_reliability
-
-
-def test_custom_cr_threshold_respected(safety):
-    doc = config_doc(safety)
+def test_custom_cr_threshold_respected():
+    doc = config_doc()
     doc["cr_threshold"] = 0.5
     config = voi_config_from_dict(doc)
     assert config.cr_threshold == 0.5
