@@ -207,6 +207,30 @@ def source_scores(config: VoiConfig, gamma: float) -> dict[SourceKind, float]:
     return {source: float(s) for source, s in zip(config.sources, scores)}
 
 
+def space_factor(
+    origin_position: tuple[float, float],
+    receiver_position: tuple[float, float],
+    profile: DecayProfile,
+) -> float:
+    """max(0, 1 - d/radius) for near-preferred horizons, min(1, d/radius) for far-preferred."""
+    distance = math.dist(origin_position, receiver_position)
+    if profile.space_shape is SpaceShape.NEAR_PREFERRED:
+        return max(0.0, 1.0 - distance / profile.space_radius_m)
+    return min(1.0, distance / profile.space_radius_m)
+
+
+def decayed_voi(
+    base: float, age_ms: float, space: float, quality: float, half_life_ms: float
+) -> float:
+    """The decay rule, evaluated as ((base * 2^(-age / half_life)) * space) * quality.
+
+    The one place the rule is written: ``effective_voi`` and the simulator
+    both call it, so a value is the same float whichever path computes it.
+    For fixed ``base``, ``space`` and ``quality`` it does not rise with age.
+    """
+    return base * 2.0 ** (-age_ms / half_life_ms) * space * quality
+
+
 def effective_voi(
     base: float,
     meta: Metadata,
@@ -225,13 +249,8 @@ def effective_voi(
         raise TemporalOrderError(
             f"message generated at {meta.generated_at_ms} ms evaluated at {now_ms} ms"
         )
-    time_factor = 2.0 ** (-age / profile.time_half_life_ms)
-    distance = math.dist(meta.origin_position, receiver_position)
-    if profile.space_shape is SpaceShape.NEAR_PREFERRED:
-        space_factor = max(0.0, 1.0 - distance / profile.space_radius_m)
-    else:
-        space_factor = min(1.0, distance / profile.space_radius_m)
-    return base * time_factor * space_factor * meta.quality
+    space = space_factor(meta.origin_position, receiver_position, profile)
+    return decayed_voi(base, age, space, meta.quality, profile.time_half_life_ms)
 
 
 def safety_config() -> VoiConfig:

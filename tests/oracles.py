@@ -3,10 +3,17 @@
 Everything here deliberately avoids the implementation paths it checks:
 eigen quantities come from a dense eigen-decomposition, orderings from an
 exhaustive pairwise-comparison sort, and decayed values from direct
-arithmetic on the declared formula.
+arithmetic on the declared formula.  ``reference_run`` is the simulator
+as first written: it re-scores and re-sorts the whole queue every slot.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
+
+from voinet.errors import DomainError
+from voinet.model import effective_voi, source_scores
+from voinet.sim import SimMetrics, TransmissionRecord, generate, validate_scenario
 
 # Duplicated on purpose; the oracle must not read the implementation's table.
 RANDOM_INDEX = {2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
@@ -91,3 +98,119 @@ def precedence_sort(scored):
         remaining.remove(best)
         ordered.append(best[1])
     return ordered
+
+
+# --- reference simulator ----------------------------------------------------
+# The sort-every-slot scheduler, kept verbatim apart from its own state
+# class: every slot it scores every queued message, drops the zero-valued
+# ones, sorts the rest by the policy's key and walks them greedily.
+
+
+@dataclass
+class ReferenceState:
+    config: object
+    base_scores: dict
+    slot: int = 0
+    queue: list = field(default_factory=list)
+    generated: int = 0
+    dropped: int = 0
+    delivered: dict = field(default_factory=dict)
+    delivered_value: float = 0.0
+    ages_sum_ms: float = 0.0
+    age_max_ms: float = 0.0
+    delivered_n: int = 0
+    transmitted_bits: int = 0
+    log: list = field(default_factory=list)
+
+
+def _score(message, now_ms, config):
+    return effective_voi(
+        message.base_voi,
+        message.meta,
+        now_ms,
+        config.receiver_position,
+        config.voi_config.decay,
+    )
+
+
+def _ordering_key(policy):
+    if policy == "voi":
+        return lambda pair: (-pair[0], pair[1].meta.generated_at_ms, pair[1].id)
+    if policy == "fifo":
+        return lambda pair: (pair[1].meta.generated_at_ms, pair[1].id)
+    raise DomainError(f"unknown policy {policy!r}")
+
+
+def reference_step(state, policy="voi"):
+    config = state.config
+    key = _ordering_key(policy)
+    now_ms = state.slot * config.slot_ms
+    fresh = generate(config, state.slot, state.base_scores)
+    state.generated += len(fresh)
+    state.queue.extend(fresh)
+
+    scored = [(_score(m, now_ms, config), m) for m in state.queue]
+    alive = [pair for pair in scored if pair[0] > 0.0]
+    state.dropped += len(scored) - len(alive)
+    alive.sort(key=key)
+
+    remaining = config.channel_bits_per_slot
+    kept = []
+    for value, message in alive:
+        if message.meta.size_bits <= remaining:
+            remaining -= message.meta.size_bits
+            age_ms = now_ms - message.meta.generated_at_ms
+            source = message.meta.source
+            state.delivered[source] = state.delivered.get(source, 0) + 1
+            state.delivered_n += 1
+            state.delivered_value += value
+            state.ages_sum_ms += age_ms
+            state.age_max_ms = max(state.age_max_ms, age_ms)
+            state.log.append(
+                TransmissionRecord(
+                    slot=state.slot,
+                    message_id=message.id,
+                    source=source,
+                    effective_voi=value,
+                    size_bits=message.meta.size_bits,
+                )
+            )
+        else:
+            kept.append(message)
+    state.transmitted_bits += config.channel_bits_per_slot - remaining
+    state.queue = kept
+    state.slot += 1
+    return state
+
+
+def reference_initial_state(config):
+    validate_scenario(config)
+    return ReferenceState(
+        config=config,
+        base_scores=source_scores(config.voi_config, config.gamma),
+        delivered={source: 0 for source in config.voi_config.sources},
+    )
+
+
+def _finalize(state):
+    config = state.config
+    capacity = config.duration_slots * config.channel_bits_per_slot
+    return SimMetrics(
+        generated_count=state.generated,
+        delivered_count=dict(state.delivered),
+        dropped_count=state.dropped,
+        residual_count=len(state.queue),
+        delivered_value=state.delivered_value,
+        mean_age_at_delivery_ms=state.ages_sum_ms / state.delivered_n if state.delivered_n else 0.0,
+        max_age_at_delivery_ms=state.age_max_ms,
+        channel_utilization=state.transmitted_bits / capacity if capacity else 0.0,
+    )
+
+
+def reference_run(config, policy="voi"):
+    """Metrics and transmission log of ``config`` under the sort-every-slot scheduler."""
+    _ordering_key(policy)
+    state = reference_initial_state(config)
+    for _ in range(config.duration_slots):
+        reference_step(state, policy)
+    return _finalize(state), state.log

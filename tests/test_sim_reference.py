@@ -1,0 +1,245 @@
+"""The lane scheduler against the sort-every-slot reference simulator.
+
+``voinet.sim`` keeps one lane per generator and merges the lanes' next
+messages through a heap; ``oracles.reference_run`` scores and sorts the
+whole queue every slot.  Both must produce the same metrics and the same
+transmission records, float for float, under both policies.
+"""
+
+import dataclasses
+import time
+
+import numpy as np
+import pytest
+
+from voinet import sim
+from voinet.config import load_scenario
+from voinet.errors import DomainError
+from voinet.model import DecayProfile, SourceKind, SpaceShape, effective_voi, safety_config
+from voinet.sim import GeneratorSpec, ScenarioConfig, initial_state, run, step
+
+from oracles import reference_initial_state, reference_run, reference_step
+from test_acceptance import random_scenario
+
+POLICIES = ("voi", "fifo")
+HALF_LIFE_MS = 500.0  # of safety_config()
+
+
+def gen(source=SourceKind.SURROUNDING, period=1, size=1000, quality=0.9, position=(50.0, 0.0)):
+    return GeneratorSpec(
+        source=source, period_slots=period, size_bits=size, quality=quality, position=position
+    )
+
+
+def scenario(generators, duration=60, budget=2000, slot_ms=100.0, decay=None):
+    voi_config = safety_config()
+    if decay is not None:
+        voi_config = dataclasses.replace(voi_config, decay=decay)
+    return ScenarioConfig(
+        duration_slots=duration,
+        slot_ms=slot_ms,
+        channel_bits_per_slot=budget,
+        generators=generators,
+        receiver_position=(0.0, 0.0),
+        voi_config=voi_config,
+        gamma=3.0,
+    )
+
+
+def message_value(message, now_ms, config):
+    return effective_voi(
+        message.base_voi, message.meta, now_ms, config.receiver_position, config.voi_config.decay
+    )
+
+
+def assert_matches_reference(config):
+    for policy in POLICIES:
+        metrics, log = run(config, policy)
+        expected_metrics, expected_log = reference_run(config, policy)
+        assert metrics == expected_metrics, policy
+        assert len(log) == len(expected_log), policy
+        for got, want in zip(log, expected_log):
+            assert got == want, policy
+
+
+def test_random_scenarios_match_reference():
+    # The scenarios of test_acceptance_conservation_and_determinism.
+    rng = np.random.default_rng(16180)
+    for index in range(100):
+        assert_matches_reference(random_scenario(rng, equal_sizes=bool(index % 2)))
+
+
+def test_bundled_overload_at_800_slots_matches_reference(configs_dir):
+    config = load_scenario(configs_dir / "overload_scenario.json")
+    assert_matches_reference(dataclasses.replace(config, duration_slots=800))
+
+
+def test_duplicate_generators_tie_on_id():
+    # Identical generators give exactly equal values; ids decide.
+    twins = [gen(), gen(), gen(period=2), gen(period=2)]
+    twins += [gen(source=SourceKind.POSITION, quality=0.5)] * 2
+    assert_matches_reference(scenario(twins, budget=3000))
+
+
+@pytest.mark.parametrize("slot_ms", [HALF_LIFE_MS, HALF_LIFE_MS / 2.0])
+@pytest.mark.parametrize(
+    "qualities,positions",
+    [
+        ((0.8, 0.4, 0.2), ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))),  # exact ties
+        ((0.7, 0.35, 0.175), ((30.0, 0.0), (0.0, 70.0), (110.0, 0.0))),  # near ties
+        ((0.9, 0.45, 0.6), ((10.0, 10.0), (20.0, 0.0), (0.0, 120.0))),
+    ],
+)
+def test_quality_ratio_two_at_half_life_spacing(slot_ms, qualities, positions):
+    # A message one half-life older with twice the quality ties with a
+    # fresh one, exactly or up to the rounding of the space factor.
+    generators = [
+        gen(source=source, quality=q, position=p)
+        for source in (SourceKind.SURROUNDING, SourceKind.POSITION)
+        for q, p in zip(qualities, positions)
+    ]
+    assert_matches_reference(scenario(generators, duration=80, budget=3000, slot_ms=slot_ms))
+
+
+@pytest.mark.parametrize("slot_ms", [1e-14, 3e-14])
+def test_equal_values_within_a_lane_match_reference(slot_ms):
+    # Slots far below the half-life: neighbouring messages of one generator
+    # round to the same value, so a lane's first message in value order is
+    # the oldest of the equal-value run at its new end, not the newest.
+    best = gen(source=SourceKind.POSITION, quality=0.8, position=(20.0, 0.0))
+    generators = [best, best, gen(quality=0.9), gen(quality=0.7, period=2, position=(10.0, 0.0))]
+    config = scenario(generators, duration=150, budget=1000, slot_ms=slot_ms)
+    state = initial_state(config)
+    for _ in range(20):
+        step(state)
+    lanes = [
+        [message_value(m, 20 * slot_ms, config) for m in state.queue if m.id % 4 == k]
+        for k in range(4)
+    ]
+    assert any(len(values) > len(set(values)) + 2 for values in lanes)
+    assert_matches_reference(config)
+
+
+def test_underflow_drops_match_reference():
+    # One half-life a slot: values leave the float range after about 1074
+    # slots, and the voi scheduler leaves the oldest messages to reach it.
+    config = scenario(
+        [gen(quality=0.9), gen(source=SourceKind.POSITION, quality=0.6)],
+        duration=1300,
+        budget=1000,
+        slot_ms=HALF_LIFE_MS,
+    )
+    metrics, _ = run(config, "voi")
+    assert metrics.dropped_count > 0
+    assert_matches_reference(config)
+
+
+def test_tiny_quality_matches_reference():
+    generators = [gen(quality=1e-300), gen(quality=1e-300, position=(200.0, 0.0)), gen(quality=0.5)]
+    # Values start near 1e-301 and reach 0 after about 77 half-lives (385 slots).
+    config = scenario(generators, duration=600, budget=2000)
+    metrics, _ = run(config, "voi")
+    assert metrics.dropped_count > 0
+    assert_matches_reference(config)
+
+
+def test_far_preferred_decay_matches_reference():
+    decay = DecayProfile(HALF_LIFE_MS, 300.0, SpaceShape.FAR_PREFERRED)
+    generators = [
+        gen(position=(0.0, 0.0)),  # space factor 0: dropped on arrival
+        gen(position=(100.0, 0.0)),
+        gen(source=SourceKind.POSITION, position=(250.0, 0.0), quality=0.5),
+        gen(source=SourceKind.POSITION, position=(900.0, 0.0), period=3),
+    ]
+    assert_matches_reference(scenario(generators, budget=2000, decay=decay))
+
+
+def test_dead_generators_match_reference():
+    generators = [
+        gen(position=(300.0, 0.0)),  # at the radius
+        gen(position=(0.0, 450.0), period=2),
+        gen(quality=0.0),
+        gen(source=SourceKind.POSITION, quality=0.7, position=(120.0, 0.0)),
+        gen(source=SourceKind.POSITION, quality=0.4, position=(20.0, 0.0)),
+    ]
+    config = scenario(generators, budget=1000)
+    metrics, _ = run(config, "voi")
+    assert metrics.dropped_count >= 60 + 30 + 60
+    assert_matches_reference(config)
+
+
+def test_message_larger_than_budget_matches_reference():
+    generators = [
+        gen(size=2500, quality=1.0, position=(0.0, 0.0)),  # never fits
+        gen(size=1500, quality=0.8),
+        gen(source=SourceKind.POSITION, size=500, quality=0.3, period=2),
+        gen(source=SourceKind.POSITION, size=700, quality=0.6, period=3),
+    ]
+    config = scenario(generators, duration=200, budget=2000)
+    metrics, log = run(config, "voi")
+    assert all(record.size_bits < 2500 for record in log)
+    assert metrics.residual_count >= 200  # every oversized message stays queued
+    assert_matches_reference(config)
+
+
+# --- behaviours of the public step API --------------------------------------
+
+
+def test_step_past_duration_raises():
+    config = scenario([gen()], duration=2)
+    state = initial_state(config)
+    step(step(state))
+    with pytest.raises(DomainError):
+        step(state)
+    with pytest.raises(DomainError):
+        step(initial_state(scenario([gen()], duration=0)), "fifo")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_queue_yields_the_reference_messages(policy):
+    generators = [
+        gen(quality=0.9),
+        gen(size=1500, quality=1e-300, period=2),
+        gen(source=SourceKind.POSITION, size=600, quality=0.5, position=(200.0, 0.0)),
+        gen(source=SourceKind.POSITION, quality=0.7, position=(400.0, 0.0)),
+    ]
+    config = scenario(generators, duration=120, budget=1600)
+    state, reference = initial_state(config), reference_initial_state(config)
+    for _ in range(config.duration_slots):
+        step(state, policy)
+        reference_step(reference, policy)
+        assert len(state.queue) == len(reference.queue)
+        assert list(state.queue) == sorted(reference.queue, key=lambda m: m.id)
+    assert state.dropped == reference.dropped > 0
+
+
+def test_queue_length_builds_no_message(monkeypatch):
+    config = scenario([gen(), gen(), gen(quality=0.4)], duration=50, budget=1000)
+    state = initial_state(config)
+    for _ in range(config.duration_slots):
+        step(state)
+
+    def no_message(*args, **kwargs):
+        raise AssertionError("len(state.queue) built a Message")
+
+    monkeypatch.setattr(sim, "Message", no_message)
+    assert len(state.queue) == 3 * 50 - 50
+
+
+# --- linear scaling -----------------------------------------------------------
+
+
+def test_overload_at_20000_slots_runs_in_linear_time(configs_dir):
+    # The quadratic sort-every-slot scheduler needs hours for this.
+    config = load_scenario(configs_dir / "overload_scenario.json")
+    config = dataclasses.replace(config, duration_slots=20_000)
+    start = time.perf_counter()
+    for policy in POLICIES:
+        metrics, log = run(config, policy)
+        assert metrics.generated_count == (
+            metrics.delivered_total + metrics.dropped_count + metrics.residual_count
+        )
+        assert metrics.dropped_count > 0  # values underflow after about 1074 half-lives
+        assert len(log) == metrics.delivered_total
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"20,000-slot overload took {elapsed:.1f} s, bound is 10 s"
