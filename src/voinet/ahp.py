@@ -6,6 +6,13 @@ extraction via power iteration, consistency diagnostics (CI / CR against
 the random-index table), and hierarchical synthesis of criterion weights
 with conditional alternative weights.
 
+There is one power iteration, ``principal_eigenvectors``, and it solves a
+``(G, n, n)`` stack of matrices at once: a whole gamma sweep is one call.
+Each row keeps its own stopping rule and leaves the batch when it
+converges, so it ends on the same floats as a solve of that matrix alone;
+``principal_eigenvector`` is the one-matrix case.  ``consistency`` takes
+lambda_max from a solve already done when given its ``WeightVector``.
+
 All functions are pure; a comparison matrix is a plain ``numpy`` array of
 positive judgment scores with unit diagonal and reciprocal symmetry.
 """
@@ -79,23 +86,32 @@ class ConsistencyReport:
     is_consistent: bool
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a float array, enforcing shape and positivity.
+def as_stack(entries) -> np.ndarray:
+    """Coerce ``entries`` to a float ``(G, n, n)`` stack of comparison matrices.
 
-    Raises ``StructureError`` for non-square input or n < 2 and
-    ``DomainError`` for non-positive or non-finite entries.
+    Raises ``StructureError`` for a stack of non-square matrices or n < 2
+    and ``DomainError`` for non-positive or non-finite entries.
     """
     m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructureError(f"comparison matrix must be square, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise StructureError(f"comparison matrix needs dimension >= 2, got {m.shape[0]}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise StructureError(f"comparison matrices must be square, got stack shape {m.shape}")
+    if m.shape[-1] < 2:
+        raise StructureError(f"comparison matrix needs dimension >= 2, got {m.shape[-1]}")
     if not np.all(np.isfinite(m)):
         raise DomainError("comparison matrix entries must be finite")
     if np.any(m <= 0.0):
-        i, j = map(int, np.argwhere(m <= 0.0)[0])
-        raise DomainError(f"comparison matrix entry ({i},{j}) = {m[i, j]} is not positive")
+        g, i, j = map(int, np.argwhere(m <= 0.0)[0])
+        which = f" {g}" if m.shape[0] > 1 else ""
+        raise DomainError(f"comparison matrix{which} entry ({i},{j}) = {m[g, i, j]} is not positive")
     return m
+
+
+def as_matrix(entries) -> np.ndarray:
+    """Coerce ``entries`` to one float comparison matrix (see ``as_stack``)."""
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StructureError(f"comparison matrix must be square, got shape {m.shape}")
+    return as_stack(m[None])[0]
 
 
 def validate(entries) -> ValidationResult:
@@ -138,62 +154,104 @@ def validate(entries) -> ValidationResult:
     return ValidationResult(tuple(violations))
 
 
+def principal_eigenvectors(
+    stack, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant eigenvectors of a ``(G, n, n)`` stack of positive matrices.
+
+    Returns the ``(G, n)`` weights, each row normalized to sum 1, and the
+    ``(G,)`` dominant eigenvalues.  Power iteration runs on every row at
+    once with per-step sum normalization; a row is converged, and leaves
+    the batch, once two of its successive iterates differ by less than
+    ``tol`` in max-norm.  Each row therefore stops after as many steps, and
+    on the same floats, as if it were solved alone.  Its eigenvalue is
+    estimated as mean((Mv)_i / v_i) at the converged vector, which is exact
+    for an eigenvector.  Positive matrices have a simple dominant
+    eigenvalue, so the iteration always converges for valid input;
+    ``ConvergenceError`` carries the last iterate and residual of the first
+    row still running after ``max_iter`` steps otherwise.
+
+    The arithmetic is chosen so that a row rounds as it would alone:
+    ``np.matvec`` forms each product row by row, like ``m @ v``, and
+    ``sum(axis=-1) / n`` equals ``np.mean`` of the row.  A 2-D GEMM over
+    the batch, or ``np.vecmat``, may round differently and allocates more.
+    """
+    m = as_stack(stack)
+    if tol <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    g, n = m.shape[0], m.shape[-1]
+    weights = np.empty((g, n))
+    lambda_max = np.empty(g)
+    rows = np.arange(g)  # the stack index of each row still running
+    v = np.full((g, n), 1.0 / n)
+    residual = np.full(g, np.inf)
+    for _ in range(max_iter):
+        if not rows.size:
+            break
+        w = np.matvec(m, v)
+        w /= w.sum(axis=-1, keepdims=True)
+        residual = np.abs(w - v).max(axis=-1)
+        v = w
+        done = residual < tol
+        if done.any():
+            converged = v[done]
+            weights[rows[done]] = converged
+            lambda_max[rows[done]] = (np.matvec(m[done], converged) / converged).sum(axis=-1) / n
+            running = ~done
+            rows, m, v, residual = rows[running], m[running], v[running], residual[running]
+    if rows.size:
+        where = f"row {rows[0]} " if g > 1 else ""
+        raise ConvergenceError(
+            f"power iteration {where}did not converge within {max_iter} iterations "
+            f"(last residual {residual[0]:.3e})",
+            last_iterate=v[0],
+            residual=float(residual[0]),
+            iterations=max_iter,
+        )
+    return weights, lambda_max
+
+
 def principal_eigenvector(
     entries, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> WeightVector:
-    """Dominant eigenvector of a positive reciprocal matrix, normalized to sum 1.
+    """Dominant eigenvector of one positive reciprocal matrix, normalized to sum 1.
 
-    Power iteration with per-step sum normalization; converged when two
-    successive iterates differ by less than ``tol`` in max-norm.  The
-    dominant eigenvalue is estimated as mean((Mv)_i / v_i) at the converged
-    vector, which is exact for an eigenvector.  Positive matrices have a
-    simple dominant eigenvalue, so the iteration always converges for valid
-    input; ``ConvergenceError`` carries the last iterate otherwise.
+    The one-matrix case of ``principal_eigenvectors``, with the same
+    stopping rule and ``ConvergenceError``.
     """
-    m = as_matrix(entries)
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        w = m @ v
-        w /= w.sum()
-        residual = float(np.max(np.abs(w - v)))
-        v = w
-        if residual < tol:
-            lambda_max = float(np.mean((m @ v) / v))
-            return WeightVector(weights=v, lambda_max=lambda_max)
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        last_iterate=v,
-        residual=residual,
-        iterations=max_iter,
-    )
+    weights, lambda_max = principal_eigenvectors(as_matrix(entries)[None], tol, max_iter)
+    return WeightVector(weights=weights[0], lambda_max=float(lambda_max[0]))
 
 
-def consistency(entries, threshold: float = DEFAULT_CR_THRESHOLD) -> ConsistencyReport:
-    """Consistency diagnostics: CI = (lambda_max - n) / (n - 1), CR = CI / RI(n).
+def consistency_ratios(lambda_max: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CI = (lambda_max - n) / (n - 1) and CR = CI / RI(n), elementwise.
 
     A 2x2 reciprocal matrix is always consistent, so CR is defined as 0 for
     n = 2 (RI(2) = 0 would otherwise leave it undefined).  Dimensions beyond
     the random-index table raise ``UnsupportedDimensionError``.
     """
-    m = as_matrix(entries)
-    n = m.shape[0]
     if n not in RANDOM_INDEX:
         raise UnsupportedDimensionError(
             f"no random index for dimension {n}; supported: 2..{max(RANDOM_INDEX)}"
         )
-    lambda_max = principal_eigenvector(m).lambda_max
-    ci = (lambda_max - n) / (n - 1)
-    cr = 0.0 if n == 2 else ci / RANDOM_INDEX[n]
+    ci = (np.asarray(lambda_max, dtype=float) - n) / (n - 1)
+    cr = np.zeros_like(ci) if n == 2 else ci / RANDOM_INDEX[n]
+    return ci, cr
+
+
+def consistency(entries, threshold: float = DEFAULT_CR_THRESHOLD) -> ConsistencyReport:
+    """Consistency diagnostics of one matrix (see ``consistency_ratios``).
+
+    ``entries`` is a comparison matrix, which is solved here, or the
+    ``WeightVector`` of one already solved, whose lambda_max is used as is.
+    """
+    solved = entries if isinstance(entries, WeightVector) else principal_eigenvector(entries)
+    ci, cr = consistency_ratios(solved.lambda_max, solved.weights.shape[0])
     return ConsistencyReport(
-        lambda_max=lambda_max,
-        consistency_index=ci,
-        consistency_ratio=cr,
-        is_consistent=cr <= threshold,
+        lambda_max=solved.lambda_max,
+        consistency_index=float(ci),
+        consistency_ratio=float(cr),
+        is_consistent=bool(cr <= threshold),
     )
 
 
@@ -201,27 +259,33 @@ def synthesize(attribute_weights, conditional) -> np.ndarray:
     """Combine criterion weights with per-criterion conditional weights.
 
     ``attribute_weights`` is a priority vector over A criteria (a
-    ``WeightVector`` or plain array); ``conditional`` is an A x S array
-    whose row a holds the alternative weights conditioned on criterion a.
-    Returns score[s] = sum_a w_a * conditional[a, s], a vector over the S
-    alternatives that sums to 1.
+    ``WeightVector`` or plain array), or a ``(G, A)`` stack of them;
+    ``conditional`` is an A x S array whose row a holds the alternative
+    weights conditioned on criterion a.  Returns score[s] = sum_a w_a *
+    conditional[a, s], a vector over the S alternatives that sums to 1, or
+    one such row per weight vector of a stack.  ``np.matvec`` forms each
+    row alone, so a stack row equals the score of that vector by itself.
     """
     w = np.asarray(getattr(attribute_weights, "weights", attribute_weights), dtype=float)
     c = np.asarray(conditional, dtype=float)
-    if w.ndim != 1:
-        raise StructureError(f"attribute weights must be a vector, got ndim {w.ndim}")
+    if w.ndim not in (1, 2):
+        raise StructureError(
+            f"attribute weights must be a vector or a stack of vectors, got ndim {w.ndim}"
+        )
     if c.ndim != 2:
         raise StructureError(f"conditional weights must be a 2-D array, got ndim {c.ndim}")
-    if c.shape[0] != w.shape[0]:
+    if c.shape[0] != w.shape[-1]:
         raise StructureError(
-            f"dimension mismatch: {w.shape[0]} attribute weights vs {c.shape[0]} conditional rows"
+            f"dimension mismatch: {w.shape[-1]} attribute weights vs {c.shape[0]} conditional rows"
         )
     if np.any(w < 0.0) or np.any(c < 0.0):
         raise DomainError("weights must be non-negative")
-    if abs(w.sum() - 1.0) > ROW_SUM_ATOL:
-        raise DomainError(f"attribute weights sum to {w.sum()!r}, expected 1")
+    sums = np.atleast_1d(w.sum(axis=-1))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_ATOL)
+    if bad.size:
+        raise DomainError(f"attribute weights sum to {sums[bad[0]]!r}, expected 1")
     row_sums = c.sum(axis=1)
     bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_ATOL)[0]
     if bad.size:
         raise DomainError(f"conditional row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1")
-    return w @ c
+    return np.matvec(c.T, w)

@@ -3,7 +3,10 @@
 Subcommands:
 
 * ``check``    validate a config and print its weights and consistency report
-* ``sweep``    score sources across a range of gamma values, emit CSV
+* ``sweep``    score sources across a range of gamma values, emit CSV; the
+  whole range is one batched assessment (``model.assess_gammas``): one
+  power iteration over the stack of attribute matrices, one per gamma, and
+  one over the conditional matrices
 * ``simulate`` run a scenario under the value scheduler and the FIFO
   baseline, emit a metrics CSV and optionally a transmission log
 
@@ -32,7 +35,7 @@ from .errors import (
     VoinetError,
 )
 from .config import load_scenario, load_voi_config
-from .model import VoiConfig, assess, instantiate_matrix
+from .model import VoiConfig, assess_gammas
 from .sim import run, write_transmission_log
 
 EXIT_OK = 0
@@ -73,18 +76,16 @@ def gamma_sweep(
         gammas = np.geomspace(gamma_min, gamma_max, steps)
     else:
         raise DomainError(f"unknown spacing {spacing!r}; expected 'linear' or 'log'")
-    rows = []
-    for gamma in gammas:
-        scores, report = assess(config, float(gamma))
-        rows.append(
-            SweepRow(
-                gamma=float(gamma),
-                cr=report.consistency_ratio,
-                is_consistent=report.is_consistent,
-                scores=tuple(float(s) for s in scores),
-            )
+    assessment = assess_gammas(config, gammas)
+    return [
+        SweepRow(gamma=gamma, cr=cr, is_consistent=is_consistent, scores=tuple(scores))
+        for gamma, cr, is_consistent, scores in zip(
+            gammas.tolist(),
+            assessment.consistency_ratio.tolist(),
+            assessment.is_consistent.tolist(),
+            assessment.scores.tolist(),
         )
-    return rows
+    ]
 
 
 def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:
@@ -116,20 +117,21 @@ def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
 
 def _cmd_check(args) -> int:
     config = load_voi_config(args.config)
-    scores, report = assess(config, args.gamma)
+    assessment = assess_gammas(config, [args.gamma])
+    solved = assessment.solved(0)
+    report = ahp.consistency(solved, config.cr_threshold)
     print(f"config: {args.config}")
     print(f"application: {config.application.value}")
     print(f"gamma: {args.gamma:.6f}")
     print("attributes: " + " ".join(a.value for a in config.attributes))
-    matrix_weights = ahp.principal_eigenvector(instantiate_matrix(config, args.gamma)).weights
-    print("weights: " + " ".join(f"{w:.4f}" for w in matrix_weights))
+    print("weights: " + " ".join(f"{w:.4f}" for w in solved.weights))
     print(f"lambda_max: {report.lambda_max:.4f}")
     print(f"consistency_index: {report.consistency_index:.4f}")
     print(f"consistency_ratio: {report.consistency_ratio:.4f}")
     print(f"consistent: {'true' if report.is_consistent else 'false'}")
     print(
         "scores: "
-        + " ".join(f"{s.value}={v:.4f}" for s, v in zip(config.sources, scores))
+        + " ".join(f"{s.value}={v:.4f}" for s, v in zip(config.sources, assessment.scores[0]))
     )
     return EXIT_OK
 
@@ -154,7 +156,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    results = {policy: run(scenario, policy) for policy in ("voi", "fifo")}
+    # Only the voi log is ever written, and only with --log.
+    results = {
+        policy: run(scenario, policy, log=bool(args.log) and policy == "voi")
+        for policy in ("voi", "fifo")
+    }
     sources = scenario.voi_config.sources
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]

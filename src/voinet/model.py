@@ -10,7 +10,8 @@ time, space, and quality decay.
 
 Configs are plain dataclasses (``voinet.config`` reads them from JSON);
 the attribute matrix may leave one above-diagonal cell open (the
-``gamma`` slot) to be filled per assessment.
+``gamma`` slot) to be filled per assessment.  ``assess_gammas`` assesses
+many gammas in one batched solve; ``assess`` is its one-gamma case.
 """
 
 from __future__ import annotations
@@ -172,13 +173,82 @@ def _substitute(config: VoiConfig, gamma: float) -> np.ndarray:
     return m
 
 
+def instantiate_matrices(config: VoiConfig, gammas) -> np.ndarray:
+    """Attribute matrices, one per gamma, stacked ``(G, A, A)``: gamma fills the slot.
+
+    Checks what validating each matrix would: ``DomainError`` for a gamma
+    outside the Saaty bounds, ``ConfigError`` for an invalid matrix.  The
+    fixed cells are checked once, the gamma and 1/gamma cells as vectors.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    outside = ~((ahp.SAATY_MIN <= gammas) & (gammas <= ahp.SAATY_MAX))
+    if outside.any():
+        raise DomainError(f"gamma = {gammas[outside][0]} outside Saaty bounds [1/9, 9]")
+    fixed = _substitute(config, 1.0)
+    _check_matrix(fixed, "attribute_matrix")
+    matrices = np.repeat(fixed[None], gammas.size, axis=0)
+    if config.gamma_slot is not None:
+        inverses = 1.0 / gammas
+        bad = (
+            (np.abs(inverses * gammas - 1.0) > ahp.RECIPROCITY_RTOL)
+            | (inverses < ahp.SAATY_MIN)
+            | (inverses > ahp.SAATY_MAX)
+        )
+        if bad.any():  # the full check of the first such matrix names the cell
+            _check_matrix(_substitute(config, gammas[bad][0]), "attribute_matrix")
+        i, j = config.gamma_slot
+        matrices[:, i, j] = gammas
+        matrices[:, j, i] = inverses
+    return matrices
+
+
 def instantiate_matrix(config: VoiConfig, gamma: float) -> np.ndarray:
     """Attribute matrix with ``gamma`` filled into its slot (reciprocal implied)."""
-    if not (ahp.SAATY_MIN <= gamma <= ahp.SAATY_MAX):
-        raise DomainError(f"gamma = {gamma} outside Saaty bounds [1/9, 9]")
-    m = _substitute(config, gamma)
-    _check_matrix(m, "attribute_matrix")
-    return m
+    return instantiate_matrices(config, [gamma])[0]
+
+
+@dataclass(frozen=True)
+class Assessment:
+    """A config assessed at G gammas: row g of every array belongs to gamma g.
+
+    ``scores`` is ``(G, S)``, ordered like ``config.sources``;
+    ``attribute_weights`` is ``(G, A)``; ``lambda_max``,
+    ``consistency_ratio`` and ``is_consistent`` are ``(G,)`` and belong to
+    the instantiated attribute matrices.
+    """
+
+    attribute_weights: np.ndarray
+    lambda_max: np.ndarray
+    consistency_ratio: np.ndarray
+    is_consistent: np.ndarray
+    scores: np.ndarray
+
+    def solved(self, g: int) -> ahp.WeightVector:
+        """The solve of gamma g's attribute matrix, for ``ahp.consistency``."""
+        return ahp.WeightVector(self.attribute_weights[g], float(self.lambda_max[g]))
+
+
+def assess_gammas(config: VoiConfig, gammas) -> Assessment:
+    """Score every source for the application at each interdependency in ``gammas``.
+
+    Two batched solves: the conditional matrices, which do not depend on
+    gamma, and the stack of instantiated attribute matrices, whose
+    eigenvalues also give the consistency ratios.  Row g equals what
+    solving gamma g alone gives, bit for bit.
+    """
+    matrices = instantiate_matrices(config, gammas)
+    weights, lambda_max = ahp.principal_eigenvectors(matrices)
+    _, cr = ahp.consistency_ratios(lambda_max, matrices.shape[-1])
+    conditional, _ = ahp.principal_eigenvectors(
+        [config.conditional_matrices[attribute] for attribute in config.attributes]
+    )
+    return Assessment(
+        attribute_weights=weights,
+        lambda_max=lambda_max,
+        consistency_ratio=cr,
+        is_consistent=cr <= config.cr_threshold,
+        scores=ahp.synthesize(weights, conditional),
+    )
 
 
 def assess(config: VoiConfig, gamma: float) -> tuple[np.ndarray, ahp.ConsistencyReport]:
@@ -186,19 +256,10 @@ def assess(config: VoiConfig, gamma: float) -> tuple[np.ndarray, ahp.Consistency
 
     Returns the per-source scores (normalized to sum 1, ordered like
     ``config.sources``) and the consistency report of the instantiated
-    attribute matrix.
+    attribute matrix: the one-gamma case of ``assess_gammas``.
     """
-    matrix = instantiate_matrix(config, gamma)
-    attribute_weights = ahp.principal_eigenvector(matrix)
-    report = ahp.consistency(matrix, config.cr_threshold)
-    conditional = np.vstack(
-        [
-            ahp.principal_eigenvector(config.conditional_matrices[attribute]).weights
-            for attribute in config.attributes
-        ]
-    )
-    scores = ahp.synthesize(attribute_weights, conditional)
-    return scores, report
+    assessment = assess_gammas(config, [gamma])
+    return assessment.scores[0], ahp.consistency(assessment.solved(0), config.cr_threshold)
 
 
 def source_scores(config: VoiConfig, gamma: float) -> dict[SourceKind, float]:

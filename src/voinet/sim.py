@@ -171,7 +171,10 @@ class _QueueView:
 
 @dataclass
 class SimState:
-    """Mutable per-run state; advance it with ``step``."""
+    """Mutable per-run state; advance it with ``step``.
+
+    ``log`` collects a ``TransmissionRecord`` per send; ``None`` records none.
+    """
 
     config: ScenarioConfig
     base_scores: dict[SourceKind, float]
@@ -184,7 +187,7 @@ class SimState:
     age_max_ms: float = 0.0
     delivered_n: int = 0
     transmitted_bits: int = 0
-    log: list[TransmissionRecord] = field(default_factory=list)
+    log: list[TransmissionRecord] | None = field(default_factory=list)
     _lanes: _Lanes = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -381,7 +384,8 @@ def step(state: SimState, policy: str = "voi") -> SimState:
         ages_sum_ms += age_ms
         if age_ms > age_max_ms:
             age_max_ms = age_ms
-        log.append(TransmissionRecord(slot, message_id, source, v, size))
+        if log is not None:
+            log.append(TransmissionRecord(slot, message_id, source, v, size))
     state.delivered_n, state.delivered_value = delivered_n, delivered_value
     state.ages_sum_ms = ages_sum_ms
     state.age_max_ms = age_max_ms
@@ -415,11 +419,16 @@ def _finalize(state: SimState) -> SimMetrics:
 
 
 def run(
-    config: ScenarioConfig, policy: str = "voi"
-) -> tuple[SimMetrics, list[TransmissionRecord]]:
-    """Run the scenario end to end: its metrics and transmission log, deterministic."""
+    config: ScenarioConfig, policy: str = "voi", log: bool = True
+) -> tuple[SimMetrics, list[TransmissionRecord] | None]:
+    """Run the scenario end to end: its metrics and transmission log, deterministic.
+
+    With ``log=False`` no record is built and the log returned is ``None``.
+    """
     _check_policy(policy)  # reject unknown policies before running
     state = initial_state(config)
+    if not log:
+        state.log = None
     for _ in range(config.duration_slots):
         step(state, policy)
     return _finalize(state), state.log

@@ -1,17 +1,20 @@
 """Independent oracles used to pin expected values.
 
 Everything here deliberately avoids the implementation paths it checks:
-eigen quantities come from a dense eigen-decomposition, orderings from an
-exhaustive pairwise-comparison sort, and decayed values from direct
-arithmetic on the declared formula.  ``reference_run`` is the simulator
+eigen quantities come from a dense eigen-decomposition or, for 3x3
+matrices, Saaty's closed form; orderings from an exhaustive
+pairwise-comparison sort; and decayed values from direct arithmetic on
+the declared formula.  ``reference_run`` is the simulator
 as first written: it re-scores and re-sorts the whole queue every slot.
+``scalar_power_iteration`` is the eigen-solver as first written, one
+matrix at a time.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from voinet.errors import DomainError
+from voinet.errors import ConvergenceError, DomainError
 from voinet.model import effective_voi, source_scores
 from voinet.sim import SimMetrics, TransmissionRecord, generate, validate_scenario
 
@@ -36,6 +39,42 @@ def dense_consistency_ratio(matrix):
     if n == 2:
         return 0.0
     return ((lam - n) / (n - 1)) / RANDOM_INDEX[n]
+
+
+def saaty_lambda_max(matrix):
+    """Closed-form lambda_max of a 3x3 reciprocal matrix (Saaty, J. Math. Psych. 1977).
+
+    With rho = a01 * a12 / a02, lambda_max = 1 + rho^(1/3) + rho^(-1/3).
+    """
+    m = np.asarray(matrix, dtype=float)
+    rho = m[0, 1] * m[1, 2] / m[0, 2]
+    return 1.0 + rho ** (1.0 / 3.0) + rho ** (-1.0 / 3.0)
+
+
+def saaty_consistency_ratio(matrix):
+    return ((saaty_lambda_max(matrix) - 3.0) / 2.0) / RANDOM_INDEX[3]
+
+
+def scalar_power_iteration(matrix, tol=1e-12, max_iter=10_000):
+    """Power iteration on one matrix, as the solver was first written.
+
+    Returns (weights, lambda_max, iterations); raises ``ConvergenceError``
+    with the last iterate and residual after ``max_iter`` steps.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    v = np.full(n, 1.0 / n)
+    residual = np.inf
+    for iteration in range(1, max_iter + 1):
+        w = m @ v
+        w /= w.sum()
+        residual = float(np.max(np.abs(w - v)))
+        v = w
+        if residual < tol:
+            return v, float(np.mean((m @ v) / v)), iteration
+    raise ConvergenceError(
+        "power iteration did not converge", last_iterate=v, residual=residual, iterations=max_iter
+    )
 
 
 def random_reciprocal(rng, n):

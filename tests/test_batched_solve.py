@@ -1,0 +1,230 @@
+"""The batched eigen-solve and the batched assessment built on it.
+
+``ahp.principal_eigenvectors`` iterates a whole stack at once and retires
+each row when it converges, so every row must come out bit for bit as the
+one-matrix solver (``oracles.scalar_power_iteration``, the solver as first
+written) gives it.  The sweep's consistency ratios are checked against
+Saaty's closed form for 3x3 matrices.
+"""
+
+import numpy as np
+import pytest
+
+from voinet import ahp
+from voinet.cli import consistent_region, gamma_sweep, main
+from voinet.config import load_voi_config
+from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
+from voinet.model import assess, assess_gammas, instantiate_matrices, instantiate_matrix
+
+from oracles import (
+    random_consistent,
+    random_reciprocal,
+    saaty_consistency_ratio,
+    scalar_power_iteration,
+)
+
+
+@pytest.fixture(scope="module")
+def bundled(configs_dir):
+    return load_voi_config(configs_dir / "safety.json")
+
+
+@pytest.fixture(scope="module")
+def sweep(bundled):
+    return gamma_sweep(bundled, steps=1000)
+
+
+def mixed_stack(rng, n, size):
+    """Random reciprocal matrices, every fourth one consistent (it converges at once)."""
+    return np.stack(
+        [
+            random_consistent(rng, n)[0] if k % 4 == 0 else random_reciprocal(rng, n)
+            for k in range(size)
+        ]
+    )
+
+
+# --- batched solver ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stack_rows_equal_one_matrix_solves_bit_for_bit(n):
+    rng = np.random.default_rng(2718 + n)
+    stack = mixed_stack(rng, n, 100)
+    weights, lambda_max = ahp.principal_eigenvectors(stack)
+    iterations = set()
+    for g, matrix in enumerate(stack):
+        expected_weights, expected_lambda, steps = scalar_power_iteration(matrix)
+        iterations.add(steps)
+        single = ahp.principal_eigenvector(matrix)
+        assert np.array_equal(weights[g], expected_weights), g
+        assert lambda_max[g] == expected_lambda, g
+        assert np.array_equal(single.weights, expected_weights), g
+        assert single.lambda_max == expected_lambda, g
+    # Rows retire at different steps; a 2x2 reciprocal matrix is consistent,
+    # so all of those take the same two.
+    assert len(iterations) > 2 or n == 2
+
+
+def test_stack_rows_do_not_depend_on_their_neighbours():
+    rng = np.random.default_rng(577)
+    stack = mixed_stack(rng, 5, 64)
+    weights, lambda_max = ahp.principal_eigenvectors(stack)
+    order = rng.permutation(len(stack))
+    shuffled_weights, shuffled_lambda = ahp.principal_eigenvectors(stack[order])
+    assert np.array_equal(shuffled_weights, weights[order])
+    assert np.array_equal(shuffled_lambda, lambda_max[order])
+
+
+def test_empty_stack_solves_to_nothing():
+    weights, lambda_max = ahp.principal_eigenvectors(np.ones((0, 3, 3)))
+    assert weights.shape == (0, 3)
+    assert lambda_max.shape == (0,)
+
+
+def test_stack_convergence_error_carries_the_stuck_row():
+    consistent, _ = random_consistent(np.random.default_rng(5), 3)
+    stuck = np.array([[1.0, 1.0, 3.0], [1.0, 1.0, 1.0 / 3.0], [1.0 / 3.0, 3.0, 1.0]])
+    _, _, consistent_steps = scalar_power_iteration(consistent)
+    max_iter = consistent_steps + 1
+    with pytest.raises(ConvergenceError) as expected:
+        scalar_power_iteration(stuck, max_iter=max_iter)
+    with pytest.raises(ConvergenceError, match="row 1 ") as excinfo:
+        ahp.principal_eigenvectors(np.stack([consistent, stuck]), max_iter=max_iter)
+    err = excinfo.value
+    assert err.iterations == max_iter
+    assert err.residual == expected.value.residual
+    assert np.array_equal(err.last_iterate, expected.value.last_iterate)
+
+
+def test_stack_rejects_bad_shapes_and_entries():
+    with pytest.raises(StructureError):
+        ahp.principal_eigenvectors(np.ones((3, 3)))
+    with pytest.raises(StructureError):
+        ahp.principal_eigenvectors(np.ones((2, 3, 4)))
+    bad = np.ones((2, 3, 3))
+    bad[1, 0, 2] = -1.0
+    with pytest.raises(DomainError, match=r"matrix 1 entry \(0,2\)"):
+        ahp.principal_eigenvectors(bad)
+
+
+def test_consistency_of_a_solved_vector_equals_solving_the_matrix():
+    matrix = random_reciprocal(np.random.default_rng(8), 4)
+    solved = ahp.principal_eigenvector(matrix)
+    assert ahp.consistency(solved, 0.2) == ahp.consistency(matrix, 0.2)
+
+
+# --- batched assessment -------------------------------------------------------
+
+
+def test_sweep_rows_equal_one_gamma_assessments(bundled, sweep):
+    assert len(sweep) == 1000
+    for row in sweep:
+        scores, report = assess(bundled, row.gamma)
+        assert row.scores == tuple(float(s) for s in scores), row.gamma
+        assert row.cr == report.consistency_ratio, row.gamma
+        assert row.is_consistent == report.is_consistent, row.gamma
+
+
+def count_solves(monkeypatch):
+    """Patch the batched solver to count its calls, and the one-matrix solver to fail."""
+    calls = []
+    solve = ahp.principal_eigenvectors
+
+    def counted(stack, *args, **kwargs):
+        calls.append(len(stack))
+        return solve(stack, *args, **kwargs)
+
+    def no_single_solve(*args, **kwargs):
+        raise AssertionError("a one-matrix solve")
+
+    monkeypatch.setattr(ahp, "principal_eigenvectors", counted)
+    monkeypatch.setattr(ahp, "principal_eigenvector", no_single_solve)
+    return calls
+
+
+def test_sweep_is_two_batched_solves(monkeypatch, bundled):
+    calls = count_solves(monkeypatch)
+    gamma_sweep(bundled, steps=1000)
+    assert sorted(calls) == [3, 1000]  # the conditional matrices, the attribute stack
+
+
+def test_check_output_unchanged_and_solved_once(monkeypatch, capsys, configs_dir):
+    # Frozen from the per-gamma CLI, which solved the attribute matrix three times.
+    calls = count_solves(monkeypatch)
+    assert main(["check", "--config", str(configs_dir / "safety.json"), "--gamma", "9"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "gamma: 9.000000",
+        "attributes: time_dependency space_dependency information_quality",
+        "weights: 0.3741 0.5395 0.0865",
+        "lambda_max: 3.1356",
+        "consistency_index: 0.0678",
+        "consistency_ratio: 0.1169",
+        "consistent: false",
+        "scores: surrounding=0.4353 position=0.5647",
+    ]
+    assert sorted(calls) == [1, 3]
+
+
+def test_instantiated_stack_equals_one_gamma_matrices(safety):
+    gammas = np.linspace(1.0 / 9.0, 9.0, 37)
+    stack = instantiate_matrices(safety, gammas)
+    for gamma, matrix in zip(gammas, stack):
+        expected = safety.attribute_matrix.copy()
+        expected[1, 2] = gamma
+        expected[2, 1] = 1.0 / gamma
+        assert np.array_equal(matrix, expected)
+
+
+def test_batched_assessment_rejects_any_gamma_outside_scale(safety):
+    with pytest.raises(DomainError, match="gamma = 9.5"):
+        assess_gammas(safety, [1.0, 3.0, 9.5])
+
+
+def test_batched_assessment_checks_the_fixed_cells(safety):
+    safety.attribute_matrix[2, 0] = 0.5  # no longer the reciprocal of 3
+    with pytest.raises(ConfigError) as excinfo:
+        assess_gammas(safety, [1.0, 3.0])
+    assert excinfo.value.field == "attribute_matrix"
+
+
+# --- Saaty's closed form ----------------------------------------------------
+
+
+def closed_form_cr(config, gamma):
+    return saaty_consistency_ratio(instantiate_matrix(config, gamma))
+
+
+def bisect_threshold(config, lo, hi, threshold):
+    """The gamma in [lo, hi] where the closed-form CR crosses ``threshold``."""
+    below = closed_form_cr(config, lo) <= threshold
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (closed_form_cr(config, mid) <= threshold) == below:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_sweep_cr_matches_closed_form(bundled, sweep):
+    gaps = [abs(row.cr - closed_form_cr(bundled, row.gamma)) for row in sweep]
+    assert max(gaps) <= 1e-12
+
+
+def test_exact_consistent_region_brackets_the_sampled_one(bundled, sweep):
+    threshold = bundled.cr_threshold
+    exact_lo = bisect_threshold(bundled, 1.0 / 9.0, 3.0, threshold)
+    exact_hi = bisect_threshold(bundled, 3.0, 9.0, threshold)
+    assert exact_lo == pytest.approx(1.0851566, abs=1e-7)
+    assert exact_hi == pytest.approx(8.2937341, abs=1e-7)
+    assert closed_form_cr(bundled, exact_lo) == pytest.approx(threshold, abs=1e-12)
+    assert closed_form_cr(bundled, exact_hi) == pytest.approx(threshold, abs=1e-12)
+
+    [(sampled_lo, sampled_hi)] = consistent_region(sweep)
+    assert sampled_lo == pytest.approx(1.089868, abs=1e-6)
+    assert sampled_hi == pytest.approx(8.288177, abs=1e-6)
+    gammas = [row.gamma for row in sweep]
+    first, last = gammas.index(sampled_lo), gammas.index(sampled_hi)
+    assert gammas[first - 1] < exact_lo <= sampled_lo
+    assert sampled_hi <= exact_hi < gammas[last + 1]

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from voinet import sim
 from voinet.config import load_scenario
 from voinet.errors import ConfigError, DomainError
 from voinet.model import Metadata, SourceKind, effective_voi, safety_config, source_scores
@@ -251,6 +252,19 @@ def test_conservation_invariant(policy):
     assert metrics.generated_count == (
         metrics.delivered_total + metrics.dropped_count + metrics.residual_count
     )
+
+
+@pytest.mark.parametrize("policy", ["voi", "fifo"])
+def test_run_without_log_builds_no_record(monkeypatch, policy):
+    config = contended_config()
+    metrics, log = run(config, policy)
+    assert log
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("run(log=False) built a TransmissionRecord")
+
+    monkeypatch.setattr(sim, "TransmissionRecord", no_record)
+    assert run(config, policy, log=False) == (metrics, None)
 
 
 @pytest.mark.parametrize("policy", ["voi", "fifo"])
