@@ -36,7 +36,7 @@ from .errors import (
 )
 from .config import load_scenario, load_voi_config
 from .model import VoiConfig, assess_gammas
-from .sim import run, write_transmission_log
+from .sim import TransmissionLogWriter, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -156,11 +156,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    # Only the voi log is ever written, and only with --log.
-    results = {
-        policy: run(scenario, policy, log=bool(args.log) and policy == "voi")
-        for policy in ("voi", "fifo")
-    }
+    # Only the voi log is ever written, and only with --log: row by row, as
+    # the run sends, so no record is kept.
+    if args.log:
+        with open(args.log, "w", encoding="utf-8", newline="") as fh:
+            voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
+    else:
+        voi = run(scenario, "voi", log=False)
+    results = {"voi": voi, "fifo": run(scenario, "fifo", log=False)}
     sources = scenario.voi_config.sources
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
@@ -183,9 +186,6 @@ def _cmd_simulate(args) -> int:
                 f"{metrics.channel_utilization:.6f}",
             ]
             fh.write(",".join(cells) + "\n")
-    if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as fh:
-            write_transmission_log(results["voi"][1], fh)
     for policy, (metrics, _) in results.items():
         print(
             f"scheduler={policy} delivered_value={metrics.delivered_value:.6f} "

@@ -29,6 +29,23 @@ exactly what scoring and sorting the whole queue would, at a cost per
 slot that grows with the busy lanes and the messages sent, not with the
 queue length.
 
+The heap keys are integers: ``(-value, slot, generator, index)`` for voi
+and ``(slot, generator)`` for fifo.  They order messages exactly as
+``(generated_at_ms, id)`` does, with ``generated_at_ms = slot * slot_ms``
+and ``id = slot * generators + generator``: ``slot_ms > 0`` and rounding
+is monotone, so an earlier slot is never generated later, and where two
+slots round to one time the id still puts the earlier slot first.  The
+generation time and id are computed only for a message that is sent.
+Decay is evaluated only where the order needs it.  A message of the
+current slot is worth its generator's fresh value (``validate_scenario``
+keeps every ``slot * slot_ms`` finite, so its age is exactly 0), and a
+lane whose oldest message is that fresh one needs no drop check.  fifo
+never ranks by value, so it evaluates decay only for the drop check at a
+lane's old end and for the messages it sends.  Within a slot, after a voi
+send from an equal-value run the run's next message is the lane's next,
+with no evaluation.  Deliveries are counted per generator, and the
+metrics sum them per source at the end of the run.
+
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
 """
@@ -36,6 +53,7 @@ produce bit-identical metrics and transmission logs.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,6 +138,7 @@ class _Lanes:
     messages, oldest first; ``busy`` is the set of non-empty lanes.
     ``fresh[k]`` is the value of generator ``k``'s messages at age 0; a
     generator whose fresh value is 0 never queues a message.
+    ``delivered[k]`` counts generator ``k``'s sent messages.
     """
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
@@ -143,10 +162,15 @@ class _Lanes:
         ]
         self.slots: list[deque[int]] = [deque() for _ in generators]
         self.busy: set[int] = set()
+        self.delivered = [0] * len(generators)
 
     def __eq__(self, other):
         # Everything else derives from the config, which the state compares.
-        return isinstance(other, _Lanes) and self.slots == other.slots
+        return (
+            isinstance(other, _Lanes)
+            and self.slots == other.slots
+            and self.delivered == other.delivered
+        )
 
 
 class _QueueView:
@@ -173,7 +197,8 @@ class _QueueView:
 class SimState:
     """Mutable per-run state; advance it with ``step``.
 
-    ``log`` collects a ``TransmissionRecord`` per send; ``None`` records none.
+    ``log`` takes a ``TransmissionRecord`` per send through its ``append``;
+    ``None`` records none.
     """
 
     config: ScenarioConfig
@@ -181,13 +206,11 @@ class SimState:
     slot: int = 0
     generated: int = 0
     dropped: int = 0
-    delivered: dict[SourceKind, int] = field(default_factory=dict)
     delivered_value: float = 0.0
     ages_sum_ms: float = 0.0
     age_max_ms: float = 0.0
-    delivered_n: int = 0
     transmitted_bits: int = 0
-    log: list[TransmissionRecord] | None = field(default_factory=list)
+    log: list[TransmissionRecord] | TransmissionLogWriter | None = field(default_factory=list)
     _lanes: _Lanes = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -208,6 +231,12 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("duration_slots", f"must be >= 0, got {config.duration_slots}")
     if config.slot_ms <= 0:
         raise ConfigError("slot_ms", f"must be positive, got {config.slot_ms}")
+    try:
+        end_ms = config.duration_slots * config.slot_ms
+    except OverflowError:
+        raise ConfigError("duration_slots", "beyond float range") from None
+    if not math.isfinite(end_ms):
+        raise ConfigError("slot_ms", f"duration_slots * slot_ms must be finite, got {end_ms}")
     if config.channel_bits_per_slot <= 0:
         raise ConfigError(
             "channel_bits_per_slot", f"must be positive, got {config.channel_bits_per_slot}"
@@ -309,35 +338,24 @@ def step(state: SimState, policy: str = "voi") -> SimState:
     if slot >= config.duration_slots:
         raise DomainError(f"slot {slot} >= duration {config.duration_slots}")
     lanes = state._lanes
-    slots, busy, fresh = lanes.slots, lanes.busy, lanes.fresh
+    slots, busy, fresh, sizes = lanes.slots, lanes.busy, lanes.fresh, lanes.sizes
     bases, spaces, qualities = lanes.bases, lanes.spaces, lanes.qualities
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms = config.slot_ms
     now_ms = slot * slot_ms
-    n_generators = len(slots)
     by_value = policy == "voi"
 
     def value(k: int, s: int) -> float:
-        if s == slot:
-            return fresh[k]
         return decayed_voi(bases[k], now_ms - s * slot_ms, spaces[k], qualities[k], half_life_ms)
 
-    def candidate(k: int) -> tuple:
-        """Heap entry of lane ``k``'s first message in the policy's order.
-
-        The entry starts with the policy's key: (-value, generation time,
-        id) for voi, and a constant then (generation time, id) for fifo.
-        """
+    def best(k: int) -> tuple[float, int, int, int]:
+        """voi heap key of lane ``k``: the oldest of the equal-value run at its new end."""
         lane = slots[k]
-        if by_value:
-            i = len(lane) - 1
-            v = value(k, lane[i])
-            if i and value(k, lane[i - 1]) == v:
-                i = bisect_left(lane, v, 0, i, key=lambda s: value(k, s))
-        else:
-            i, v = 0, value(k, lane[0])
-        s = lane[i]
-        return (-v if by_value else 0.0, s * slot_ms, s * n_generators + k, k, v, i)
+        i = len(lane) - 1
+        v = fresh[k] if lane[i] == slot else value(k, lane[i])
+        if i and value(k, lane[i - 1]) == v:
+            i = bisect_left(lane, v, 0, i, key=lambda s: value(k, s))
+        return (-v, lane[i], k, i)
 
     for period, emitting, live in lanes.arrivals:
         if slot % period == 0:
@@ -350,44 +368,51 @@ def step(state: SimState, policy: str = "voi") -> SimState:
     heap = []
     for k in list(busy):
         lane = slots[k]
-        while lane and not value(k, lane[0]) > 0.0:
+        # A message of this slot is worth fresh[k] > 0: no decay to evaluate.
+        while lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
             lane.popleft()
             state.dropped += 1
-        if lane:
-            heap.append(candidate(k))
-        else:
+        if not lane:  # emptied by drops, or by the sends of an earlier slot
             busy.discard(k)
+            continue
+        heap.append(best(k) if by_value else (lane[0], k))
     heapify(heap)
 
-    sizes, sources, log = lanes.sizes, lanes.sources, state.log
-    delivered, delivered_n = state.delivered, state.delivered_n
+    log, counts = state.log, lanes.delivered
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
     age_max_ms = state.age_max_ms
     remaining = config.channel_bits_per_slot
     while heap and remaining:
-        _, generated_at_ms, message_id, k, v, i = heappop(heap)
+        if by_value:
+            neg_v, s, k, i = heappop(heap)
+        else:
+            s, k = heappop(heap)
         size = sizes[k]
         if size > remaining:
             continue  # the rest of the lane has this size too: none of it fits
         remaining -= size
         lane = slots[k]
-        del lane[i]
-        if lane:
-            heappush(heap, candidate(k))
+        if by_value:
+            v = -neg_v
+            del lane[i]
+            if i < len(lane):  # the equal-value run goes on, oldest first
+                heappush(heap, (neg_v, lane[i], k, i))
+            elif lane:
+                heappush(heap, best(k))
         else:
-            busy.discard(k)
-        age_ms = now_ms - generated_at_ms
-        source = sources[k]
-        delivered[source] = delivered.get(source, 0) + 1
-        delivered_n += 1
+            v = fresh[k] if s == slot else value(k, s)
+            lane.popleft()
+            if lane:
+                heappush(heap, (lane[0], k))
+        counts[k] += 1
         delivered_value += v
+        age_ms = now_ms - s * slot_ms
         ages_sum_ms += age_ms
         if age_ms > age_max_ms:
             age_max_ms = age_ms
         if log is not None:
-            log.append(TransmissionRecord(slot, message_id, source, v, size))
-    state.delivered_n, state.delivered_value = delivered_n, delivered_value
-    state.ages_sum_ms = ages_sum_ms
+            log.append(TransmissionRecord(slot, s * len(slots) + k, lanes.sources[k], v, size))
+    state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
     state.age_max_ms = age_max_ms
     state.transmitted_bits += config.channel_bits_per_slot - remaining
     state.slot += 1
@@ -396,47 +421,62 @@ def step(state: SimState, policy: str = "voi") -> SimState:
 
 def initial_state(config: ScenarioConfig) -> SimState:
     validate_scenario(config)
-    return SimState(
-        config=config,
-        base_scores=source_scores(config.voi_config, config.gamma),
-        delivered={source: 0 for source in config.voi_config.sources},
-    )
+    return SimState(config=config, base_scores=source_scores(config.voi_config, config.gamma))
 
 
 def _finalize(state: SimState) -> SimMetrics:
     config = state.config
     capacity = config.duration_slots * config.channel_bits_per_slot
+    lanes = state._lanes
+    delivered = dict.fromkeys(config.voi_config.sources, 0)
+    for source, count in zip(lanes.sources, lanes.delivered):
+        delivered[source] += count
+    delivered_n = sum(lanes.delivered)
     return SimMetrics(
         generated_count=state.generated,
-        delivered_count=dict(state.delivered),
+        delivered_count=delivered,
         dropped_count=state.dropped,
         residual_count=len(state.queue),
         delivered_value=state.delivered_value,
-        mean_age_at_delivery_ms=state.ages_sum_ms / state.delivered_n if state.delivered_n else 0.0,
+        mean_age_at_delivery_ms=state.ages_sum_ms / delivered_n if delivered_n else 0.0,
         max_age_at_delivery_ms=state.age_max_ms,
         channel_utilization=state.transmitted_bits / capacity if capacity else 0.0,
     )
 
 
 def run(
-    config: ScenarioConfig, policy: str = "voi", log: bool = True
-) -> tuple[SimMetrics, list[TransmissionRecord] | None]:
+    config: ScenarioConfig, policy: str = "voi", log: bool | TransmissionLogWriter = True
+) -> tuple[SimMetrics, list[TransmissionRecord] | TransmissionLogWriter | None]:
     """Run the scenario end to end: its metrics and transmission log, deterministic.
 
-    With ``log=False`` no record is built and the log returned is ``None``.
+    With ``log=True`` the log is a list of the records.  With ``log=False``
+    no record is built and the log returned is ``None``.  Any other ``log``
+    takes each record through its ``append`` as it is made (a
+    ``TransmissionLogWriter`` writes it as a CSV row) and is returned.
     """
     _check_policy(policy)  # reject unknown policies before running
     state = initial_state(config)
-    if not log:
-        state.log = None
+    state.log = [] if log is True else None if log is False else log
     for _ in range(config.duration_slots):
         step(state, policy)
     return _finalize(state), state.log
 
 
+class TransmissionLogWriter:
+    """A transmission log that writes each record to ``fh`` as a CSV row, keeping none."""
+
+    def __init__(self, fh):
+        self._writer = csv.writer(fh, lineterminator="\n")
+        self._writer.writerow(["slot", "message_id", "source", "effective_voi", "size_bits"])
+
+    def append(self, r: TransmissionRecord) -> None:
+        self._writer.writerow(
+            [r.slot, r.message_id, r.source.value, f"{r.effective_voi:.6f}", r.size_bits]
+        )
+
+
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:
     """CSV log: slot, message id, source kind, effective value, size."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["slot", "message_id", "source", "effective_voi", "size_bits"])
+    writer = TransmissionLogWriter(fh)
     for r in records:
-        writer.writerow([r.slot, r.message_id, r.source.value, f"{r.effective_voi:.6f}", r.size_bits])
+        writer.append(r)

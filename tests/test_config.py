@@ -119,6 +119,8 @@ ESCAPES = [
         "conditional_matrices.time_dependency",
     ),
     ("simulate", ("gamma",), 12.0, "gamma"),
+    ("simulate", ("slot_ms",), 1e308, "slot_ms"),  # 200 slots of it overflow to inf
+    ("simulate", ("duration_slots",), 10**400, "duration_slots"),
 ]
 
 

@@ -347,6 +347,24 @@ def test_transmission_log_format():
     )
 
 
+def test_log_writer_writes_each_row_as_it_is_sent():
+    config = contended_config()
+    metrics, records = run(config)
+    expected = io.StringIO()
+    write_transmission_log(records, expected)
+    buf = io.StringIO()
+    writer = sim.TransmissionLogWriter(buf)
+    assert run(config, log=writer) == (metrics, writer)
+    assert buf.getvalue() == expected.getvalue()
+    # After each step the file holds the rows of the slots so far.
+    state = initial_state(config)
+    buf = io.StringIO()
+    state.log = sim.TransmissionLogWriter(buf)
+    for slot in range(config.duration_slots):
+        step(state)
+        assert buf.getvalue().count("\n") == 1 + sum(r.slot <= slot for r in records)
+
+
 # --- scenario files -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ transmission records, float for float, under both policies.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -182,6 +183,51 @@ def test_message_larger_than_budget_matches_reference():
     assert_matches_reference(config)
 
 
+def fleet(seed, slot_ms=100.0, n_generators=128, duration=300, load=0.9):
+    """Many short lanes: periods 1-10 slots, 200-2000 bits, a sixth beyond the radius.
+
+    The channel carries ``load`` of the in-radius offered bits, so most
+    lanes hold a message or two and the heap merges over a hundred of them.
+    """
+    rng = np.random.default_rng(seed)
+    voi_config = safety_config()
+    radius = voi_config.decay.space_radius_m
+    generators = []
+    for k in range(n_generators):
+        distance = rng.uniform(0.0, 1.2 * radius)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        generators.append(
+            gen(
+                source=voi_config.sources[k % len(voi_config.sources)],
+                period=int(rng.integers(1, 11)),
+                size=int(rng.integers(200, 2001)),
+                quality=float(rng.uniform(0.1, 1.0)),
+                position=(distance * math.cos(angle), distance * math.sin(angle)),
+            )
+        )
+    offered = sum(
+        g.size_bits / g.period_slots for g in generators if math.hypot(*g.position) < radius
+    )
+    return scenario(
+        generators, duration=duration, budget=math.ceil(offered / load), slot_ms=slot_ms
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("slot_ms", [100.0, 1e-14])
+def test_fleet_scale_matches_reference(seed, slot_ms):
+    # At 1e-14 ms a slot, neighbouring messages of a lane tie, so one lane's
+    # equal-value run can send several messages in one slot, oldest first.
+    config = fleet(seed, slot_ms)
+    out_of_radius = sum(math.hypot(*g.position) >= 300.0 for g in config.generators)
+    assert 10 <= out_of_radius <= 35
+    for policy in POLICIES:
+        metrics, _ = run(config, policy, log=False)
+        assert list(metrics.delivered_count) == list(config.voi_config.sources)
+        assert metrics.dropped_count > 0 and metrics.channel_utilization > 0.8
+    assert_matches_reference(config)
+
+
 # --- behaviours of the public step API --------------------------------------
 
 
@@ -224,6 +270,15 @@ def test_queue_length_builds_no_message(monkeypatch):
 
     monkeypatch.setattr(sim, "Message", no_message)
     assert len(state.queue) == 3 * 50 - 50
+    # Deliveries are counted per generator; the metrics list every assessed
+    # source in config order, a source with no delivery as 0.
+    for policy in POLICIES:
+        metrics, _ = run(config, policy)
+        assert list(metrics.delivered_count.items()) == [
+            (SourceKind.SURROUNDING, 50),
+            (SourceKind.POSITION, 0),
+        ]
+        assert metrics.residual_count == 3 * 50 - 50
 
 
 # --- linear scaling -----------------------------------------------------------
