@@ -13,13 +13,16 @@ Subcommands:
 All emitted files are deterministic byte-for-byte given identical inputs;
 reals are formatted with six decimals.  Exit codes: 0 success; 2 config
 file missing, unreadable, not UTF-8 JSON or invalid (the message names
-the field); 3 out-of-domain argument; 1 anything else, such as an output
-file that cannot be written.
+the field), or a command line that argparse rejects, such as
+``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
+``--log`` that names the ``--out`` file; 1 anything else, such as an
+output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -154,7 +157,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: one resolved path, or one existing file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)  # hard links to one file
+    except OSError:  # a path that does not exist yet
+        return False
+
+
 def _cmd_simulate(args) -> int:
+    if args.log and _same_file(args.log, args.out):
+        raise DomainError(f"--log and --out name the same file: {args.log}")
     scenario = load_scenario(args.scenario)
     # Only the voi log is ever written, and only with --log: row by row, as
     # the run sends, so no record is kept.

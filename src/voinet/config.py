@@ -6,7 +6,9 @@ the field's path in the document (``voi_config.decay.space_radius_m``,
 other exception.  Numbers must be finite; integral fields take a whole
 float such as ``1000.0`` but never a boolean.  Range checks live with the
 objects, in ``model.validate_config`` and ``sim.validate_scenario``.
-Keys that no reader asks for are ignored.
+A key that no reader asks for, such as a misspelt ``cr_treshold``, is a
+``ConfigError`` naming it, and so is a conditional matrix for an attribute
+that ``attributes`` does not list.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from .errors import ConfigError, DomainError
 GAMMA_CELL = "gamma"
 GAMMA_RECIPROCAL_CELL = "1/gamma"
 
+#: The keys each kind of JSON object may hold.
+VOI_CONFIG_KEYS = ("application", "attributes", "sources", "attribute_matrix",
+                   "conditional_matrices", "decay", "cr_threshold")
+DECAY_KEYS = ("time_half_life_ms", "space_radius_m", "space_shape")
+SCENARIO_KEYS = ("duration_slots", "slot_ms", "channel_bits_per_slot", "generators",
+                 "receiver_position", "voi_config", "gamma")
+GENERATOR_KEYS = ("source", "period_slots", "size_bits", "quality", "position")
+
 
 def _field(doc: dict, key: str, read, prefix: str = "", default=None):
     """``read(doc[key], path)``; an absent key gives ``default``, or is an error without one."""
@@ -32,6 +42,15 @@ def _field(doc: dict, key: str, read, prefix: str = "", default=None):
     if default is None:
         raise ConfigError(prefix + key, "missing required field")
     return default
+
+
+def _known(doc: dict, keys: tuple[str, ...], prefix: str = "") -> dict:
+    """``doc``, unless it holds a key outside ``keys``."""
+    for key in doc:
+        if key not in keys:
+            expected = ", ".join(keys)
+            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of: {expected}")
+    return doc
 
 
 def _invalid(path: str, expected: str, value) -> ConfigError:
@@ -136,7 +155,7 @@ def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
     ``prefix`` is the document's own path and a dot when it is embedded in
     another, as a scenario's ``voi_config`` is.
     """
-    doc = _object(doc, prefix.rstrip(".") or "document")
+    doc = _known(_object(doc, prefix.rstrip(".") or "document"), VOI_CONFIG_KEYS, prefix)
     application = _field(doc, "application", _enum(model.ApplicationKind), prefix)
     attributes = tuple(_enum(model.Attribute)(a, f"{prefix}attributes[{i}]")
                        for i, a in enumerate(_field(doc, "attributes", _list, prefix)))
@@ -147,7 +166,8 @@ def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
     for key, cells in _field(doc, "conditional_matrices", _object, prefix).items():
         where = f"{prefix}conditional_matrices.{key}"
         conditionals[_enum(model.Attribute)(key, where)] = _matrix(cells, where)[0]
-    decay_doc, where = _field(doc, "decay", _object, prefix), prefix + "decay."
+    where = prefix + "decay."
+    decay_doc = _known(_field(doc, "decay", _object, prefix), DECAY_KEYS, where)
     try:
         decay = model.DecayProfile(
             time_half_life_ms=_field(decay_doc, "time_half_life_ms", _number, where),
@@ -175,7 +195,8 @@ def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
 
 
 def _generator(value, path: str) -> sim.GeneratorSpec:
-    doc, prefix = _object(value, path), path + "."
+    prefix = path + "."
+    doc = _known(_object(value, path), GENERATOR_KEYS, prefix)
     return sim.GeneratorSpec(
         source=_field(doc, "source", _enum(model.SourceKind), prefix),
         period_slots=_field(doc, "period_slots", _integer, prefix),
@@ -187,7 +208,7 @@ def _generator(value, path: str) -> sim.GeneratorSpec:
 
 def scenario_from_dict(doc) -> sim.ScenarioConfig:
     """Build and validate a ``ScenarioConfig`` from a parsed JSON document."""
-    doc = _object(doc, "document")
+    doc = _known(_object(doc, "document"), SCENARIO_KEYS)
     generators = _field(doc, "generators", _list)
     config = sim.ScenarioConfig(
         duration_slots=_field(doc, "duration_slots", _integer),

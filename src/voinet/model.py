@@ -150,6 +150,10 @@ def validate_config(config: VoiConfig) -> None:
         if m.shape != (n_src, n_src):
             raise ConfigError(where, f"expected shape {(n_src, n_src)}, got {m.shape}")
         _check_matrix(m, where)
+    for attribute in config.conditional_matrices:
+        if attribute not in config.attributes:
+            where = f"conditional_matrices.{attribute.value}"
+            raise ConfigError(where, "not among the attributes")
     if not (0.0 < config.cr_threshold):
         raise ConfigError("cr_threshold", f"must be positive, got {config.cr_threshold}")
 

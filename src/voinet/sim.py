@@ -46,18 +46,23 @@ send from an equal-value run the run's next message is the lane's next,
 with no evaluation.  Deliveries are counted per generator, and the
 metrics sum them per source at the end of the run.
 
+A positive value reaches 0 only by float underflow, after about a
+thousand half-lives, so a slot that starts before ``_no_drop_before_ms``
+of the smallest live value, computed once per run, makes no drop check.
+A ``TransmissionLogWriter`` writes each row with one ``fh.write``.
+
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from . import ahp
 from .errors import ConfigError, DomainError
@@ -104,9 +109,8 @@ class Message:
     base_voi: float
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """One transmitted message: the per-slot log row."""
+class TransmissionRecord(NamedTuple):
+    """One transmitted message: the per-slot log row (an immutable tuple)."""
 
     slot: int
     message_id: int
@@ -139,6 +143,8 @@ class _Lanes:
     ``fresh[k]`` is the value of generator ``k``'s messages at age 0; a
     generator whose fresh value is 0 never queues a message.
     ``delivered[k]`` counts generator ``k``'s sent messages.
+    ``no_drop_before_ms`` is a time before which no queued message can
+    have decayed to 0 (see ``_no_drop_before_ms``).
     """
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
@@ -151,10 +157,18 @@ class _Lanes:
             space_factor(gen.position, config.receiver_position, profile) for gen in generators
         ]
         self.qualities = [gen.quality for gen in generators]
+        half_life_ms = profile.time_half_life_ms
         self.fresh = [
-            decayed_voi(base, 0.0, space, quality, profile.time_half_life_ms)
+            decayed_voi(base, 0.0, space, quality, half_life_ms)
             for base, space, quality in zip(self.bases, self.spaces, self.qualities)
         ]
+        # The smallest partial product of the decay rule at age 0, over the live generators.
+        smallest = min(
+            (min(base, base * space, value)
+             for base, space, value in zip(self.bases, self.spaces, self.fresh) if value > 0.0),
+            default=1.0,
+        )
+        self.no_drop_before_ms = _no_drop_before_ms(smallest, half_life_ms)
         # Per period: the generators that emit, the live ones (nonzero fresh value).
         self.arrivals = [
             (period, len(indices), [k for k in indices if self.fresh[k] > 0.0])
@@ -269,6 +283,24 @@ def _period_groups(generators: list[GeneratorSpec]) -> list[tuple[int, list[int]
     return list(groups.items())
 
 
+def _no_drop_before_ms(smallest: float, half_life_ms: float) -> float:
+    """A time before which no queued message can have decayed to 0.
+
+    A message's value is ``((base * 2**(-age/half_life)) * space) * quality``.
+    Each partial product is its value at age 0 times the decay factor, and
+    at age 0 all of them are at least ``smallest`` >= 2**(e - 1), where
+    ``e`` is the binary exponent of ``smallest``.  Below ``half_life *
+    (999 + e)`` the decay factor exceeds 2**-(999 + e), so every exact
+    partial product exceeds 2**-1000.  The rounding of the division, the
+    power and the products moves them by a relative 1e-11 at most, which
+    leaves them normal, 74 binades above the smallest subnormal: none
+    rounds to 0.  A computed age ``now_ms - slot * slot_ms`` never exceeds
+    ``now_ms``, so a slot that starts before this time drops nothing by
+    decay.  For ``smallest`` below 2**-999 the time is <= 0.
+    """
+    return half_life_ms * (999 + math.frexp(smallest)[1])
+
+
 def _message(
     config: ScenarioConfig, slot: int, index: int, base_scores: dict[SourceKind, float]
 ) -> Message:
@@ -366,10 +398,12 @@ def step(state: SimState, policy: str = "voi") -> SimState:
             busy.update(live)
 
     heap = []
+    # Before the bound no value can have decayed to 0, and a message of
+    # this slot is worth fresh[k] > 0: no decay to evaluate for either.
+    check_drops = now_ms >= lanes.no_drop_before_ms
     for k in list(busy):
         lane = slots[k]
-        # A message of this slot is worth fresh[k] > 0: no decay to evaluate.
-        while lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
+        while check_drops and lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
             lane.popleft()
             state.dropped += 1
         if not lane:  # emptied by drops, or by the sends of an earlier slot
@@ -463,15 +497,19 @@ def run(
 
 
 class TransmissionLogWriter:
-    """A transmission log that writes each record to ``fh`` as a CSV row, keeping none."""
+    """A transmission log that writes each record to ``fh`` as a CSV row, keeping none.
+
+    No field holds a comma, quote or line break, so a row formatted directly
+    is the bytes ``csv.writer(fh, lineterminator="\\n")`` would write.
+    """
 
     def __init__(self, fh):
-        self._writer = csv.writer(fh, lineterminator="\n")
-        self._writer.writerow(["slot", "message_id", "source", "effective_voi", "size_bits"])
+        self._write = fh.write
+        self._write("slot,message_id,source,effective_voi,size_bits\n")
 
     def append(self, r: TransmissionRecord) -> None:
-        self._writer.writerow(
-            [r.slot, r.message_id, r.source.value, f"{r.effective_voi:.6f}", r.size_bits]
+        self._write(
+            f"{r.slot},{r.message_id},{r.source.value},{r.effective_voi:.6f},{r.size_bits}\n"
         )
 
 

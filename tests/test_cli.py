@@ -266,3 +266,39 @@ def test_module_entry_point(safety_path):
     )
     assert result.returncode == 0
     assert "consistent: true" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "log", ["{out}", "{tmp}/./sub/../metrics.csv", "{symlink}", "{hardlink}"]
+)
+def test_simulate_log_naming_the_out_file_exits_3(capsys, tmp_path, overload_path, log):
+    out = tmp_path / "metrics.csv"
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "symlink.csv").symlink_to(out)
+    if log == "{hardlink}":  # a hard link needs an existing file
+        out.write_text("kept\n", encoding="utf-8")
+        (tmp_path / "hardlink.csv").hardlink_to(out)
+    log = log.format(
+        out=out, tmp=tmp_path, symlink=tmp_path / "symlink.csv", hardlink=tmp_path / "hardlink.csv"
+    )
+    code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", log])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "same file" in captured.err
+    assert captured.out == ""
+    # Rejected before any run: nothing is written.
+    assert not out.exists() or out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_command_line_usage_error_exits_2_without_traceback(safety_path, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "voinet", "sweep", "--config", safety_path,
+         "--steps", "abc", "--out", str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "usage: voinet sweep" in result.stderr
+    assert "invalid int value: 'abc'" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -133,8 +133,7 @@ def cli_args(command, config, tmp_path):
     return ["simulate", "--scenario", str(config), "--out", str(tmp_path / "out.csv")]
 
 
-@pytest.mark.parametrize("command,path,value,field", ESCAPES)
-def test_malformed_field_exits_2_naming_it(capsys, tmp_path, command, path, value, field):
+def assert_exits_2_naming(capsys, tmp_path, command, path, value, field):
     source = OVERLOAD if command == "simulate" else SAFETY
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(replaced(document(source), path, value)), encoding="utf-8")
@@ -142,6 +141,32 @@ def test_malformed_field_exits_2_naming_it(capsys, tmp_path, command, path, valu
     err = capsys.readouterr().err
     assert f"error: config: {field}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,path,value,field", ESCAPES)
+def test_malformed_field_exits_2_naming_it(capsys, tmp_path, command, path, value, field):
+    assert_exits_2_naming(capsys, tmp_path, command, path, value, field)
+
+
+# A key no reader asks for, at every level, and a conditional matrix for an
+# attribute the config does not list.
+UNKNOWN_KEYS = [
+    ("check", ("cr_treshold",), 0.2, "cr_treshold"),
+    ("sweep", ("decay", "half_life_ms"), 500.0, "decay.half_life_ms"),
+    ("simulate", ("seed",), 1, "seed"),
+    ("simulate", ("generators", 1, "colour"), "red", "generators[1].colour"),
+    ("simulate", ("voi_config", "rng_seed"), 7, "voi_config.rng_seed"),
+    ("simulate", ("voi_config", "decay", ""), 0, "voi_config.decay."),
+    ("check", ("conditional_matrices", "urgency"), [[1, 1], [1, 1]],
+     "conditional_matrices.urgency"),
+    ("simulate", ("voi_config", "conditional_matrices", "novelty"), [[1, 1], [1, 1]],
+     "voi_config.conditional_matrices.novelty"),
+]
+
+
+@pytest.mark.parametrize("command,path,value,field", UNKNOWN_KEYS)
+def test_unknown_key_exits_2_naming_it(capsys, tmp_path, command, path, value, field):
+    assert_exits_2_naming(capsys, tmp_path, command, path, value, field)
 
 
 def test_integral_float_is_accepted_as_integer(tmp_path):

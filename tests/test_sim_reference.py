@@ -53,6 +53,12 @@ def message_value(message, now_ms, config):
     )
 
 
+def crosses_drop_bound(config):
+    """Whether the run's last slot starts where drop checks resume (``_Lanes``)."""
+    last_ms = (config.duration_slots - 1) * config.slot_ms
+    return initial_state(config)._lanes.no_drop_before_ms <= last_ms
+
+
 def assert_matches_reference(config):
     for policy in POLICIES:
         metrics, log = run(config, policy)
@@ -130,6 +136,7 @@ def test_underflow_drops_match_reference():
         budget=1000,
         slot_ms=HALF_LIFE_MS,
     )
+    assert crosses_drop_bound(config)
     metrics, _ = run(config, "voi")
     assert metrics.dropped_count > 0
     assert_matches_reference(config)
@@ -288,6 +295,7 @@ def test_overload_at_20000_slots_runs_in_linear_time(configs_dir):
     # The quadratic sort-every-slot scheduler needs hours for this.
     config = load_scenario(configs_dir / "overload_scenario.json")
     config = dataclasses.replace(config, duration_slots=20_000)
+    assert crosses_drop_bound(config)
     start = time.perf_counter()
     for policy in POLICIES:
         metrics, log = run(config, policy)
