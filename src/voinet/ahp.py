@@ -8,8 +8,8 @@ with conditional alternative weights.
 
 There is one power iteration, ``principal_eigenvectors``, and it solves a
 ``(G, n, n)`` stack of matrices at once: a whole gamma sweep is one call.
-Each row keeps its own stopping rule and leaves the batch when it
-converges, so it ends on the same floats as a solve of that matrix alone;
+Each row keeps its own stopping rule and, with no BLAS call, ends on the
+same floats as a scalar loop over that matrix alone, on any CPU;
 ``principal_eigenvector`` is the one-matrix case.  ``consistency`` takes
 lambda_max from a solve already done when given its ``WeightVector``.
 
@@ -20,6 +20,7 @@ positive judgment scores with unit diagonal and reciprocal symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -154,6 +155,11 @@ def validate(entries) -> ValidationResult:
     return ValidationResult(tuple(violations))
 
 
+def _dot(a, b):
+    """``a[0] * b[0] + a[1] * b[1] + ...`` by separate ufuncs, left to right."""
+    return reduce(np.add, map(np.multiply, a, b))
+
+
 def principal_eigenvectors(
     stack, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,54 +167,54 @@ def principal_eigenvectors(
 
     Returns the ``(G, n)`` weights, each row normalized to sum 1, and the
     ``(G,)`` dominant eigenvalues.  Power iteration runs on every row at
-    once with per-step sum normalization; a row is converged, and leaves
-    the batch, once two of its successive iterates differ by less than
-    ``tol`` in max-norm.  Each row therefore stops after as many steps, and
-    on the same floats, as if it were solved alone.  Its eigenvalue is
-    estimated as mean((Mv)_i / v_i) at the converged vector, which is exact
-    for an eigenvector.  Positive matrices have a simple dominant
-    eigenvalue, so the iteration always converges for valid input;
-    ``ConvergenceError`` carries the last iterate and residual of the first
-    row still running after ``max_iter`` steps otherwise.
+    once with per-step sum normalization; a row is converged, and its
+    weights are its iterate, once two successive iterates differ by less
+    than ``tol`` in max-norm.  Its eigenvalue is estimated as mean((Mv)_i /
+    v_i) at the converged vector, which is exact for an eigenvector.
+    Positive matrices have a simple dominant eigenvalue, so the iteration
+    always converges for valid input; ``ConvergenceError`` carries the last
+    iterate and residual of the first row still running after ``max_iter``
+    steps otherwise.
 
-    The arithmetic is chosen so that a row rounds as it would alone:
-    ``np.matvec`` forms each product row by row, like ``m @ v``, and
-    ``sum(axis=-1) / n`` equals ``np.mean`` of the row.  A 2-D GEMM over
-    the batch, or ``np.vecmat``, may round differently and allocates more.
+    The stack is transposed once to column-major, ``cols[j, i, g] = m[g,
+    i, j]``: a product is ``cols[0] * v[0] + cols[1] * v[1] + ...`` and a
+    row sum ``w[0] + w[1] + ...``, over contiguous ``(n, G)`` arrays, left
+    to right.  Nothing is fused, and no BLAS kernel or pairwise sum picks
+    the order, so every row rounds as a scalar loop over its matrix does,
+    on any CPU.  Converged rows are copied out under a mask, not compacted.
     """
     m = as_stack(stack)
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     g, n = m.shape[0], m.shape[-1]
-    weights = np.empty((g, n))
-    lambda_max = np.empty(g)
-    rows = np.arange(g)  # the stack index of each row still running
-    v = np.full((g, n), 1.0 / n)
+    cols = np.ascontiguousarray(m.transpose(2, 1, 0))
+    weights = np.empty((n, g))
+    running = np.ones(g, dtype=bool)
+    v = np.full((n, g), 1.0 / n)
     residual = np.full(g, np.inf)
     for _ in range(max_iter):
-        if not rows.size:
+        if not running.any():
             break
-        w = np.matvec(m, v)
-        w /= w.sum(axis=-1, keepdims=True)
-        residual = np.abs(w - v).max(axis=-1)
+        w = _dot(cols, v)
+        w /= reduce(np.add, w)
+        residual = np.abs(w - v).max(axis=0)
         v = w
         done = residual < tol
-        if done.any():
-            converged = v[done]
-            weights[rows[done]] = converged
-            lambda_max[rows[done]] = (np.matvec(m[done], converged) / converged).sum(axis=-1) / n
-            running = ~done
-            rows, m, v, residual = rows[running], m[running], v[running], residual[running]
-    if rows.size:
-        where = f"row {rows[0]} " if g > 1 else ""
+        done &= running
+        np.copyto(weights, v, where=done)
+        running &= ~done
+    if running.any():
+        row = int(np.argmax(running))
+        where = f"row {row} " if g > 1 else ""
         raise ConvergenceError(
             f"power iteration {where}did not converge within {max_iter} iterations "
-            f"(last residual {residual[0]:.3e})",
-            last_iterate=v[0],
-            residual=float(residual[0]),
+            f"(last residual {residual[row]:.3e})",
+            last_iterate=v[:, row].copy(),
+            residual=float(residual[row]),
             iterations=max_iter,
         )
-    return weights, lambda_max
+    lambda_max = reduce(np.add, _dot(cols, weights) / weights) / n
+    return weights.T, lambda_max
 
 
 def principal_eigenvector(
@@ -263,8 +269,8 @@ def synthesize(attribute_weights, conditional) -> np.ndarray:
     ``conditional`` is an A x S array whose row a holds the alternative
     weights conditioned on criterion a.  Returns score[s] = sum_a w_a *
     conditional[a, s], a vector over the S alternatives that sums to 1, or
-    one such row per weight vector of a stack.  ``np.matvec`` forms each
-    row alone, so a stack row equals the score of that vector by itself.
+    one such row per weight vector of a stack, summed left to right over
+    the criteria: a stack row equals the score of that vector by itself.
     """
     w = np.asarray(getattr(attribute_weights, "weights", attribute_weights), dtype=float)
     c = np.asarray(conditional, dtype=float)
@@ -288,4 +294,4 @@ def synthesize(attribute_weights, conditional) -> np.ndarray:
     bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_ATOL)[0]
     if bad.size:
         raise DomainError(f"conditional row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1")
-    return np.matvec(c.T, w)
+    return _dot(c, w.T[..., None])

@@ -15,8 +15,8 @@ reals are formatted with six decimals.  Exit codes: 0 success; 2 config
 file missing, unreadable, not UTF-8 JSON or invalid (the message names
 the field), or a command line that argparse rejects, such as
 ``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
-``--log`` that names the ``--out`` file; 1 anything else, such as an
-output file that cannot be written.
+``--log`` that names the ``--out`` file; 1 anything else, such as an output
+file that cannot be written (``simulate`` opens ``--out`` before any run).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,8 @@ EXIT_DOMAIN = 3
 _DOMAIN_ERRORS = (DomainError, StructureError, UnsupportedDimensionError, TemporalOrderError)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Assessment outcome at one gamma value."""
+class SweepRow(NamedTuple):
+    """Assessment outcome at one gamma value (an immutable tuple)."""
 
     gamma: float
     cr: float
@@ -80,15 +79,8 @@ def gamma_sweep(
     else:
         raise DomainError(f"unknown spacing {spacing!r}; expected 'linear' or 'log'")
     assessment = assess_gammas(config, gammas)
-    return [
-        SweepRow(gamma=gamma, cr=cr, is_consistent=is_consistent, scores=tuple(scores))
-        for gamma, cr, is_consistent, scores in zip(
-            gammas.tolist(),
-            assessment.consistency_ratio.tolist(),
-            assessment.is_consistent.tolist(),
-            assessment.scores.tolist(),
-        )
-    ]
+    cr, ok = assessment.consistency_ratio.tolist(), assessment.is_consistent.tolist()
+    return list(map(SweepRow, gammas.tolist(), cr, ok, map(tuple, assessment.scores.tolist())))
 
 
 def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:
@@ -112,10 +104,8 @@ def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:
 def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
     header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in config.sources]
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [f"{row.gamma:.6f}", f"{row.cr:.6f}", "true" if row.is_consistent else "false"]
-        cells += [f"{s:.6f}" for s in row.scores]
-        fh.write(",".join(cells) + "\n")
+    row_format = "%.6f,%.6f,%s" + ",%.6f" * len(config.sources) + "\n"  # %.6f is f"{x:.6f}"
+    fh.write("".join(row_format % (g, cr, "true" if ok else "false", *s) for g, cr, ok, s in rows))
 
 
 def _cmd_check(args) -> int:
@@ -171,20 +161,21 @@ def _cmd_simulate(args) -> int:
     if args.log and _same_file(args.log, args.out):
         raise DomainError(f"--log and --out name the same file: {args.log}")
     scenario = load_scenario(args.scenario)
-    # Only the voi log is ever written, and only with --log: row by row, as
-    # the run sends, so no record is kept.
-    if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as fh:
-            voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
-    else:
-        voi = run(scenario, "voi", log=False)
-    results = {"voi": voi, "fifo": run(scenario, "fifo", log=False)}
     sources = scenario.voi_config.sources
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    # --out is opened before any run, so one that cannot be written fails
+    # first.  Only the voi log is ever written, and only with --log: row by
+    # row, as the run sends, so no record is kept.
+    with open(args.out, "w", encoding="utf-8", newline="") as out:
+        if args.log:
+            with open(args.log, "w", encoding="utf-8", newline="") as fh:
+                voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
+        else:
+            voi = run(scenario, "voi", log=False)
+        results = {"voi": voi, "fifo": run(scenario, "fifo", log=False)}
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
         header += [f"delivered_{s.value}" for s in sources]
         header += ["delivered_value", "mean_age_ms", "max_age_ms", "utilization"]
-        fh.write(",".join(header) + "\n")
+        out.write(",".join(header) + "\n")
         for policy, (metrics, _) in results.items():
             cells = [
                 policy,
@@ -200,7 +191,7 @@ def _cmd_simulate(args) -> int:
                 f"{metrics.max_age_at_delivery_ms:.6f}",
                 f"{metrics.channel_utilization:.6f}",
             ]
-            fh.write(",".join(cells) + "\n")
+            out.write(",".join(cells) + "\n")
     for policy, (metrics, _) in results.items():
         print(
             f"scheduler={policy} delivered_value={metrics.delivered_value:.6f} "

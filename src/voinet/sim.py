@@ -23,11 +23,11 @@ value, space factor, quality and size, so within a lane
   budget, none of the lane's messages fits for the rest of the slot.
 
 A slot therefore drops each lane's zero-valued prefix, merges the lanes'
-next messages through a heap keyed on the policy's order, and skips a
-lane whose next message does not fit.  That sends, keeps and drops
-exactly what scoring and sorting the whole queue would, at a cost per
-slot that grows with the busy lanes and the messages sent, not with the
-queue length.
+next messages through a heap keyed on the policy's order, skips a lane
+whose next message does not fit, and stops once no live generator's size
+fits.  That sends, keeps and drops exactly what scoring and sorting the
+whole queue would, at a cost per slot that grows with the busy lanes and
+the messages sent, not with the queue length.
 
 The heap keys are integers: ``(-value, slot, generator, index)`` for voi
 and ``(slot, generator)`` for fifo.  They order messages exactly as
@@ -143,6 +143,7 @@ class _Lanes:
     ``fresh[k]`` is the value of generator ``k``'s messages at age 0; a
     generator whose fresh value is 0 never queues a message.
     ``delivered[k]`` counts generator ``k``'s sent messages.
+    ``smallest_size`` is the smallest size of a live generator's messages.
     ``no_drop_before_ms`` is a time before which no queued message can
     have decayed to 0 (see ``_no_drop_before_ms``).
     """
@@ -169,6 +170,7 @@ class _Lanes:
             default=1.0,
         )
         self.no_drop_before_ms = _no_drop_before_ms(smallest, half_life_ms)
+        self.smallest_size = min((s for s, v in zip(self.sizes, self.fresh) if v > 0.0), default=1)
         # Per period: the generators that emit, the live ones (nonzero fresh value).
         self.arrivals = [
             (period, len(indices), [k for k in indices if self.fresh[k] > 0.0])
@@ -415,8 +417,8 @@ def step(state: SimState, policy: str = "voi") -> SimState:
     log, counts = state.log, lanes.delivered
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
     age_max_ms = state.age_max_ms
-    remaining = config.channel_bits_per_slot
-    while heap and remaining:
+    remaining, smallest_size = config.channel_bits_per_slot, lanes.smallest_size
+    while heap and remaining >= smallest_size:  # below it, no queued message fits
         if by_value:
             neg_v, s, k, i = heappop(heap)
         else:

@@ -55,25 +55,46 @@ def saaty_consistency_ratio(matrix):
     return ((saaty_lambda_max(matrix) - 3.0) / 2.0) / RANDOM_INDEX[3]
 
 
+def left_to_right_sum(terms):
+    """Sum of ``terms`` in order, one float addition at a time."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def scalar_power_iteration(matrix, tol=1e-12, max_iter=10_000):
     """Power iteration on one matrix, as the solver was first written.
 
-    Returns (weights, lambda_max, iterations); raises ``ConvergenceError``
-    with the last iterate and residual after ``max_iter`` steps.
+    Every dot product and sum is a Python loop over floats, added left to
+    right, so the result does not depend on numpy's BLAS or on its
+    pairwise summation.  Returns (weights, lambda_max, iterations); raises
+    ``ConvergenceError`` with the last iterate and residual after
+    ``max_iter`` steps.
     """
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n)
+    m = np.asarray(matrix, dtype=float).tolist()
+    n = len(m)
+
+    def product(v):
+        return [left_to_right_sum(a * b for a, b in zip(row, v)) for row in m]
+
+    v = [1.0 / n] * n
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        w = m @ v
-        w /= w.sum()
-        residual = float(np.max(np.abs(w - v)))
+        w = product(v)
+        total = left_to_right_sum(w)
+        w = [x / total for x in w]
+        residual = max(abs(a - b) for a, b in zip(w, v))
         v = w
         if residual < tol:
-            return v, float(np.mean((m @ v) / v)), iteration
+            ratios = [a / b for a, b in zip(product(v), v)]
+            return np.array(v), left_to_right_sum(ratios) / n, iteration
     raise ConvergenceError(
-        "power iteration did not converge", last_iterate=v, residual=residual, iterations=max_iter
+        "power iteration did not converge",
+        last_iterate=np.array(v),
+        residual=residual,
+        iterations=max_iter,
     )
 
 

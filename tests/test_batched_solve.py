@@ -17,6 +17,7 @@ from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureE
 from voinet.model import assess, assess_gammas, instantiate_matrices, instantiate_matrix
 
 from oracles import (
+    left_to_right_sum,
     random_consistent,
     random_reciprocal,
     saaty_consistency_ratio,
@@ -124,6 +125,19 @@ def test_sweep_rows_equal_one_gamma_assessments(bundled, sweep):
         assert row.scores == tuple(float(s) for s in scores), row.gamma
         assert row.cr == report.consistency_ratio, row.gamma
         assert row.is_consistent == report.is_consistent, row.gamma
+
+
+def test_sweep_scores_are_left_to_right_sums(bundled):
+    assessment = assess_gammas(bundled, np.linspace(1.0 / 9.0, 9.0, 1000))
+    conditional = [
+        scalar_power_iteration(bundled.conditional_matrices[a])[0].tolist()
+        for a in bundled.attributes
+    ]
+    for weights, scores in zip(assessment.attribute_weights.tolist(), assessment.scores.tolist()):
+        assert scores == [
+            left_to_right_sum(w * row[s] for w, row in zip(weights, conditional))
+            for s in range(len(bundled.sources))
+        ]
 
 
 def count_solves(monkeypatch):

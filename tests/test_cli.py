@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from voinet import cli
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
 from voinet.config import load_voi_config
 from voinet.errors import DomainError
@@ -231,6 +232,20 @@ def test_simulate_log_is_optional(tmp_path, overload_path):
     out = tmp_path / "metrics.csv"
     assert main(["simulate", "--scenario", overload_path, "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_simulate_unwritable_out_exits_1_before_any_run(
+    monkeypatch, capsys, tmp_path, overload_path
+):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "metrics.csv"
+    log = tmp_path / "log.csv"
+    code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert not log.exists()
 
 
 def test_simulate_missing_scenario_exits_2(tmp_path):

@@ -1,13 +1,15 @@
-"""The simulator's two shortcuts: no drop check before the drop bound, and log rows
-formatted without the csv module.
+"""The simulator's shortcuts: no drop check before the drop bound, no pop once
+nothing fits, and log rows formatted without the csv module.
 
 Before ``_Lanes.no_drop_before_ms`` a step evaluates no decay to look for
 drops; the bound must lie below the first age at which any value can reach
-0.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its bytes
+0.  Once the budget left is below ``_Lanes.smallest_size`` a step pops no
+more heap entries.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its bytes
 must equal what ``csv.writer`` writes for the same rows.
 """
 
 import csv
+import heapq
 import io
 import math
 import struct
@@ -36,6 +38,8 @@ from voinet.sim import (
     step,
     write_transmission_log,
 )
+
+from test_sim_reference import fleet
 
 # --- the drop bound -----------------------------------------------------------
 
@@ -117,6 +121,56 @@ def test_no_drop_check_before_the_bound(configs_dir, monkeypatch):
     older = sum(r.message_id // generators < r.slot for r in state.log)
     assert older > 0
     assert len(calls) == older
+
+
+# --- the send loop ------------------------------------------------------------
+
+
+class SizeRecorder:
+    """A transmission log that records each sent size into ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def append(self, record):
+        self.events.append(record.size_bits)
+
+
+def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
+    # Pops and sends in the order they happen: a pop is None, a send its size.
+    config = fleet(0)
+    radius = config.voi_config.decay.space_radius_m
+    smallest = min(g.size_bits for g in config.generators if math.hypot(*g.position) < radius)
+    # Dead generators, out of radius or of quality 0, with the smallest messages.
+    source = config.voi_config.sources[0]
+    config.generators += [
+        GeneratorSpec(source, 1, 1, 1.0, (2 * radius, 0.0)),
+        GeneratorSpec(source, 1, 1, 0.0, (0.0, 0.0)),
+    ]
+    events = []
+
+    def counted(heap):
+        events.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(sim, "heappop", counted)
+    for policy in ("voi", "fifo"):
+        state = initial_state(config)
+        assert state._lanes.smallest_size == smallest
+        state.log = SizeRecorder(events)
+        pops = exhausted = 0
+        for _ in range(config.duration_slots):
+            events.clear()
+            step(state, policy)
+            remaining = config.channel_bits_per_slot
+            for size in events:
+                if size is None:
+                    assert remaining >= smallest, (policy, state.slot)
+                    pops += 1
+                else:
+                    remaining -= size
+            exhausted += remaining < smallest
+        assert pops > 0 and exhausted > 0, policy
 
 
 # --- log rows -----------------------------------------------------------------
