@@ -16,7 +16,8 @@ file missing, unreadable, not UTF-8 JSON or invalid (the message names
 the field), or a command line that argparse rejects, such as
 ``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
 ``--log`` that names the ``--out`` file; 1 anything else, such as an output
-file that cannot be written (``simulate`` opens ``--out`` before any run).
+file that cannot be written (``simulate`` opens ``--out`` and ``--log`` before
+any run, and leaves no ``--out`` it made when ``--log`` fails).
 """
 
 from __future__ import annotations
@@ -162,15 +163,24 @@ def _cmd_simulate(args) -> int:
         raise DomainError(f"--log and --out name the same file: {args.log}")
     scenario = load_scenario(args.scenario)
     sources = scenario.voi_config.sources
-    # --out is opened before any run, so one that cannot be written fails
-    # first.  Only the voi log is ever written, and only with --log: row by
-    # row, as the run sends, so no record is kept.
+    # --out, then --log, is opened before any run, so a file that cannot be
+    # written fails first; an --out made here goes again if --log fails.
+    # Only the voi log is ever written, and only with --log: row by row, as
+    # the run sends, so no record is kept.
+    made_out = not os.path.lexists(args.out)
     with open(args.out, "w", encoding="utf-8", newline="") as out:
-        if args.log:
-            with open(args.log, "w", encoding="utf-8", newline="") as fh:
-                voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
-        else:
+        try:
+            fh = open(args.log, "w", encoding="utf-8", newline="") if args.log else None
+        except OSError:
+            out.close()
+            if made_out:
+                os.remove(args.out)
+            raise
+        if fh is None:
             voi = run(scenario, "voi", log=False)
+        else:
+            with fh:
+                voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
         results = {"voi": voi, "fifo": run(scenario, "fifo", log=False)}
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
         header += [f"delivered_{s.value}" for s in sources]

@@ -49,7 +49,13 @@ metrics sum them per source at the end of the run.
 A positive value reaches 0 only by float underflow, after about a
 thousand half-lives, so a slot that starts before ``_no_drop_before_ms``
 of the smallest live value, computed once per run, makes no drop check.
-A ``TransmissionLogWriter`` writes each row with one ``fh.write``.
+
+A run is one loop over its slots (``_advance``): the run's constants and
+the decay helpers are bound once, and the counters live in locals until
+the loop returns.  ``step`` is the loop's one-slot case.  A
+``TransmissionLogWriter`` gets each row as its fields, formatted with one
+f-string and written with one ``fh.write``: no ``TransmissionRecord`` is
+built and no source's ``Enum`` value looked up per send.
 
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
@@ -136,13 +142,14 @@ class SimMetrics:
 
 
 class _Lanes:
-    """One lane per generator, and the per-run generator constants a step reads.
+    """One lane per generator, and the per-run generator constants a slot reads.
 
     ``slots[k]`` holds the generation slots of generator ``k``'s queued
     messages, oldest first; ``busy`` is the set of non-empty lanes.
     ``fresh[k]`` is the value of generator ``k``'s messages at age 0; a
     generator whose fresh value is 0 never queues a message.
-    ``delivered[k]`` counts generator ``k``'s sent messages.
+    ``delivered[k]`` counts generator ``k``'s sent messages, and ``names[k]``
+    is its source kind's value, as the log writes it.
     ``smallest_size`` is the smallest size of a live generator's messages.
     ``no_drop_before_ms`` is a time before which no queued message can
     have decayed to 0 (see ``_no_drop_before_ms``).
@@ -152,6 +159,7 @@ class _Lanes:
         profile = config.voi_config.decay
         generators = config.generators
         self.sources = [gen.source for gen in generators]
+        self.names = [source.value for source in self.sources]
         self.sizes = [gen.size_bits for gen in generators]
         self.bases = [base_scores[gen.source] for gen in generators]
         self.spaces = [
@@ -213,8 +221,9 @@ class _QueueView:
 class SimState:
     """Mutable per-run state; advance it with ``step``.
 
-    ``log`` takes a ``TransmissionRecord`` per send through its ``append``;
-    ``None`` records none.
+    ``log`` takes a ``TransmissionRecord`` per send through its ``append``,
+    a ``TransmissionLogWriter`` the record's fields through its
+    ``write_row``; ``None`` records none.
     """
 
     config: ScenarioConfig
@@ -359,25 +368,28 @@ def schedule(queue: list[Message], now_ms: float, config: ScenarioConfig) -> lis
     return [m for _, m in scored]
 
 
-def step(state: SimState, policy: str = "voi") -> SimState:
-    """Advance one slot: generate, drop dead, transmit, account.
+def _advance(state: SimState, policy: str, end: int) -> None:
+    """Run slots ``state.slot`` to ``end - 1``, each as ``step`` describes.
 
-    Transmission sends messages in the policy's order, each one that fits
-    in the remaining bit budget (prefix with skip, so one oversized message
-    cannot block smaller ones behind it).  Mutates and returns ``state``.
+    The run's constants and the decay helpers are bound once per call, and
+    the counters are kept in locals and written back to ``state`` when the
+    call returns.
     """
-    _check_policy(policy)
-    config = state.config
-    slot = state.slot
-    if slot >= config.duration_slots:
-        raise DomainError(f"slot {slot} >= duration {config.duration_slots}")
-    lanes = state._lanes
+    config, lanes = state.config, state._lanes
     slots, busy, fresh, sizes = lanes.slots, lanes.busy, lanes.fresh, lanes.sizes
     bases, spaces, qualities = lanes.bases, lanes.spaces, lanes.qualities
+    arrivals, counts, generators = lanes.arrivals, lanes.delivered, len(slots)
+    sources, names = lanes.sources, lanes.names
     half_life_ms = config.voi_config.decay.time_half_life_ms
-    slot_ms = config.slot_ms
-    now_ms = slot * slot_ms
+    slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
+    no_drop_before_ms, smallest_size = lanes.no_drop_before_ms, lanes.smallest_size
     by_value = policy == "voi"
+    log = state.log
+    # A writer formats its rows from the fields: no record, no Enum lookup.
+    write_row = log.write_row if isinstance(log, TransmissionLogWriter) else None
+    generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
+    delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
+    age_max_ms = state.age_max_ms
 
     def value(k: int, s: int) -> float:
         return decayed_voi(bases[k], now_ms - s * slot_ms, spaces[k], qualities[k], half_life_ms)
@@ -391,67 +403,88 @@ def step(state: SimState, policy: str = "voi") -> SimState:
             i = bisect_left(lane, v, 0, i, key=lambda s: value(k, s))
         return (-v, lane[i], k, i)
 
-    for period, emitting, live in lanes.arrivals:
-        if slot % period == 0:
-            state.generated += emitting
-            state.dropped += emitting - len(live)
-            for k in live:
-                slots[k].append(slot)
-            busy.update(live)
+    for slot in range(state.slot, end):
+        now_ms = slot * slot_ms
+        for period, emitting, live in arrivals:
+            if slot % period == 0:
+                generated += emitting
+                dropped += emitting - len(live)
+                for k in live:
+                    slots[k].append(slot)
+                busy.update(live)
 
-    heap = []
-    # Before the bound no value can have decayed to 0, and a message of
-    # this slot is worth fresh[k] > 0: no decay to evaluate for either.
-    check_drops = now_ms >= lanes.no_drop_before_ms
-    for k in list(busy):
-        lane = slots[k]
-        while check_drops and lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
-            lane.popleft()
-            state.dropped += 1
-        if not lane:  # emptied by drops, or by the sends of an earlier slot
-            busy.discard(k)
-            continue
-        heap.append(best(k) if by_value else (lane[0], k))
-    heapify(heap)
+        heap = []
+        # Before the bound no value can have decayed to 0, and a message of
+        # this slot is worth fresh[k] > 0: no decay to evaluate for either.
+        check_drops = now_ms >= no_drop_before_ms
+        for k in list(busy):
+            lane = slots[k]
+            while check_drops and lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
+                lane.popleft()
+                dropped += 1
+            if not lane:  # emptied by drops, or by the sends of an earlier slot
+                busy.discard(k)
+                continue
+            heap.append(best(k) if by_value else (lane[0], k))
+        heapify(heap)
 
-    log, counts = state.log, lanes.delivered
-    delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
-    age_max_ms = state.age_max_ms
-    remaining, smallest_size = config.channel_bits_per_slot, lanes.smallest_size
-    while heap and remaining >= smallest_size:  # below it, no queued message fits
-        if by_value:
-            neg_v, s, k, i = heappop(heap)
-        else:
-            s, k = heappop(heap)
-        size = sizes[k]
-        if size > remaining:
-            continue  # the rest of the lane has this size too: none of it fits
-        remaining -= size
-        lane = slots[k]
-        if by_value:
-            v = -neg_v
-            del lane[i]
-            if i < len(lane):  # the equal-value run goes on, oldest first
-                heappush(heap, (neg_v, lane[i], k, i))
-            elif lane:
-                heappush(heap, best(k))
-        else:
-            v = fresh[k] if s == slot else value(k, s)
-            lane.popleft()
-            if lane:
-                heappush(heap, (lane[0], k))
-        counts[k] += 1
-        delivered_value += v
-        age_ms = now_ms - s * slot_ms
-        ages_sum_ms += age_ms
-        if age_ms > age_max_ms:
-            age_max_ms = age_ms
-        if log is not None:
-            log.append(TransmissionRecord(slot, s * len(slots) + k, lanes.sources[k], v, size))
+        remaining = budget
+        while heap and remaining >= smallest_size:  # below it, no queued message fits
+            if by_value:
+                neg_v, s, k, i = heappop(heap)
+            else:
+                s, k = heappop(heap)
+            size = sizes[k]
+            if size > remaining:
+                continue  # the rest of the lane has this size too: none of it fits
+            remaining -= size
+            lane = slots[k]
+            if by_value:
+                v = -neg_v
+                del lane[i]
+                if i < len(lane):  # the equal-value run goes on, oldest first
+                    heappush(heap, (neg_v, lane[i], k, i))
+                elif lane:
+                    heappush(heap, best(k))
+            else:
+                v = fresh[k] if s == slot else value(k, s)
+                lane.popleft()
+                if lane:
+                    heappush(heap, (lane[0], k))
+            counts[k] += 1
+            delivered_value += v
+            age_ms = now_ms - s * slot_ms
+            ages_sum_ms += age_ms
+            if age_ms > age_max_ms:
+                age_max_ms = age_ms
+            if log is not None:
+                if write_row is not None:
+                    write_row(slot, s * generators + k, names[k], v, size)
+                else:
+                    log.append(
+                        TransmissionRecord(slot, s * generators + k, sources[k], v, size)
+                    )
+        transmitted_bits += budget - remaining
+
+    state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
     state.age_max_ms = age_max_ms
-    state.transmitted_bits += config.channel_bits_per_slot - remaining
-    state.slot += 1
+    state.slot = end
+
+
+def step(state: SimState, policy: str = "voi") -> SimState:
+    """Advance one slot: generate, drop dead, transmit, account.
+
+    This is the one-slot case of the loop ``run`` makes over all slots.
+    Transmission sends messages in the policy's order, each one that fits
+    in the remaining bit budget (prefix with skip, so one oversized message
+    cannot block smaller ones behind it).  Mutates and returns ``state``.
+    """
+    _check_policy(policy)
+    slot, duration = state.slot, state.config.duration_slots
+    if slot >= duration:
+        raise DomainError(f"slot {slot} >= duration {duration}")
+    _advance(state, policy, slot + 1)
     return state
 
 
@@ -485,16 +518,17 @@ def run(
 ) -> tuple[SimMetrics, list[TransmissionRecord] | TransmissionLogWriter | None]:
     """Run the scenario end to end: its metrics and transmission log, deterministic.
 
+    The run is one loop over all slots; ``step`` is its one-slot case.
     With ``log=True`` the log is a list of the records.  With ``log=False``
     no record is built and the log returned is ``None``.  Any other ``log``
-    takes each record through its ``append`` as it is made (a
-    ``TransmissionLogWriter`` writes it as a CSV row) and is returned.
+    takes each record through its ``append`` as it is made and is returned,
+    except a ``TransmissionLogWriter``, which gets each row's fields and
+    writes them as a CSV row, with no record built.
     """
     _check_policy(policy)  # reject unknown policies before running
     state = initial_state(config)
     state.log = [] if log is True else None if log is False else log
-    for _ in range(config.duration_slots):
-        step(state, policy)
+    _advance(state, policy, config.duration_slots)
     return _finalize(state), state.log
 
 
@@ -509,10 +543,14 @@ class TransmissionLogWriter:
         self._write = fh.write
         self._write("slot,message_id,source,effective_voi,size_bits\n")
 
+    def write_row(
+        self, slot: int, message_id: int, source: str, effective_voi: float, size_bits: int
+    ) -> None:
+        """Write one row from its fields; ``source`` is the source kind's value."""
+        self._write(f"{slot},{message_id},{source},{effective_voi:.6f},{size_bits}\n")
+
     def append(self, r: TransmissionRecord) -> None:
-        self._write(
-            f"{r.slot},{r.message_id},{r.source.value},{r.effective_voi:.6f},{r.size_bits}\n"
-        )
+        self.write_row(r.slot, r.message_id, r.source.value, r.effective_voi, r.size_bits)
 
 
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:

@@ -248,6 +248,21 @@ def test_simulate_unwritable_out_exits_1_before_any_run(
     assert not log.exists()
 
 
+def test_simulate_unwritable_log_exits_1_before_any_run(
+    monkeypatch, capsys, tmp_path, overload_path
+):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "metrics.csv"
+    log = tmp_path / "missing" / "log.csv"
+    code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+    assert not out.exists()
+
+
 def test_simulate_missing_scenario_exits_2(tmp_path):
     out = tmp_path / "metrics.csv"
     code = main(["simulate", "--scenario", str(tmp_path / "absent.json"), "--out", str(out)])

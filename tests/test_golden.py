@@ -29,3 +29,12 @@ def test_simulate_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     assert out.read_bytes() == (RESULTS / "overload_metrics.csv").read_bytes()
     assert log.read_bytes() == (RESULTS / "overload_log.csv").read_bytes()
+
+
+def test_simulate_without_log_matches_golden_metrics(tmp_path, capsys):
+    # The metrics of a run that writes no log are those of the logged run.
+    out = tmp_path / "metrics.csv"
+    args = ["simulate", "--scenario", str(CONFIGS / "overload_scenario.json"), "--out", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (RESULTS / "overload_metrics.csv").read_bytes()

@@ -127,15 +127,19 @@ def test_equal_values_within_a_lane_match_reference(slot_ms):
     assert_matches_reference(config)
 
 
-def test_underflow_drops_match_reference():
-    # One half-life a slot: values leave the float range after about 1074
-    # slots, and the voi scheduler leaves the oldest messages to reach it.
-    config = scenario(
+def underflow_scenario():
+    """One half-life a slot: values leave the float range after about 1074
+    slots, and the voi scheduler leaves the oldest messages to reach it."""
+    return scenario(
         [gen(quality=0.9), gen(source=SourceKind.POSITION, quality=0.6)],
         duration=1300,
         budget=1000,
         slot_ms=HALF_LIFE_MS,
     )
+
+
+def test_underflow_drops_match_reference():
+    config = underflow_scenario()
     assert crosses_drop_bound(config)
     metrics, _ = run(config, "voi")
     assert metrics.dropped_count > 0
@@ -246,6 +250,22 @@ def test_step_past_duration_raises():
         step(state)
     with pytest.raises(DomainError):
         step(initial_state(scenario([gen()], duration=0)), "fifo")
+
+
+@pytest.mark.parametrize(
+    "config", [underflow_scenario(), fleet(0)], ids=["underflow", "fleet"]
+)
+def test_stepping_every_slot_equals_run(config):
+    # run is one loop over the slots and step its one-slot case; a counter
+    # not written back to the state between calls would show here.
+    for policy in POLICIES:
+        state = initial_state(config)
+        for _ in range(config.duration_slots):
+            step(state, policy)
+        metrics, log = run(config, policy)
+        assert sim._finalize(state) == metrics, policy
+        assert state.log == log, policy
+        assert log, policy
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -223,7 +223,17 @@ EDGE_VALUES = [0.0, SUBNORMAL_MIN, 1e-7, 4.999999e-7, 5e-7, 5.000001e-7, 1.5e-6,
                0.5595238095238095, 1.0, 123456.7890125]
 
 
-def test_log_writer_bytes_equal_csv_writer():
+def test_log_writer_bytes_equal_csv_writer(monkeypatch):
+    # Every row goes through write_row: the rows of run's loop, of step's
+    # one-slot case, and of append, which the edge values take.
+    rows = []
+    write_row = TransmissionLogWriter.write_row
+
+    def counted(self, *fields):
+        rows.append(fields)
+        write_row(self, *fields)
+
+    monkeypatch.setattr(TransmissionLogWriter, "write_row", counted)
     config = five_source_scenario()
     for policy in ("voi", "fifo"):
         metrics, records = run(config, policy)
@@ -231,6 +241,14 @@ def test_log_writer_bytes_equal_csv_writer():
         buf = io.StringIO()
         assert run(config, policy, log=TransmissionLogWriter(buf))[0] == metrics
         assert buf.getvalue() == csv_log(records)
+        state = initial_state(config)
+        stepped = io.StringIO()
+        state.log = TransmissionLogWriter(stepped)
+        for _ in range(config.duration_slots):
+            step(state, policy)
+        assert stepped.getvalue() == csv_log(records)
+        assert len(rows) == 2 * len(records)
+        rows.clear()
     sources = list(SourceKind)
     edges = [
         TransmissionRecord(slot, 10**12 + slot, sources[slot % len(sources)], value, 1 + slot)
@@ -239,6 +257,7 @@ def test_log_writer_bytes_equal_csv_writer():
     buf = io.StringIO()
     write_transmission_log(records + edges, buf)
     assert buf.getvalue() == csv_log(records + edges)
+    assert len(rows) == len(records + edges)
 
 
 def test_transmission_record_is_immutable():
