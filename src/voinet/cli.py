@@ -17,7 +17,8 @@ the field), or a command line that argparse rejects, such as
 ``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
 ``--log`` that names the ``--out`` file; 1 anything else, such as an output
 file that cannot be written (``simulate`` opens ``--out`` and ``--log`` before
-any run, and leaves no ``--out`` it made when ``--log`` fails).
+any run, and leaves no ``--out`` it made when ``--log`` fails) or a request
+too large for memory, such as ``sweep --steps 1000000000000000``.
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (VoinetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -50,12 +50,15 @@ A positive value reaches 0 only by float underflow, after about a
 thousand half-lives, so a slot that starts before ``_no_drop_before_ms``
 of the smallest live value, computed once per run, makes no drop check.
 
-A run is one loop over its slots (``_advance``): the run's constants and
-the decay helpers are bound once, and the counters live in locals until
-the loop returns.  ``step`` is the loop's one-slot case.  A
-``TransmissionLogWriter`` gets each row as its fields, formatted with one
-f-string and written with one ``fh.write``: no ``TransmissionRecord`` is
-built and no source's ``Enum`` value looked up per send.
+A run's state is one ``SimState``, whose private attributes hold the
+per-run generator constants and the lanes.  A run is one loop over its
+slots (``_advance``) that binds them and the decay helpers once and keeps
+the counters in locals until it returns; ``step`` is its one-slot case.
+A log is any object with ``write_row(slot, message_id, source,
+effective_voi, size_bits)``, called once per send with the ``SourceKind``:
+``TransmissionRecords`` keeps a ``TransmissionRecord``, and
+``TransmissionLogWriter`` writes the row with one f-string (formatting the
+member's ``_value_``, cheaper than ``Enum.value``), building no record.
 
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
@@ -66,7 +69,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -125,6 +128,13 @@ class TransmissionRecord(NamedTuple):
     size_bits: int
 
 
+class TransmissionRecords(list):
+    """A transmission log kept in memory: a list of ``TransmissionRecord``s."""
+
+    def write_row(self, *fields) -> None:
+        self.append(TransmissionRecord(*fields))
+
+
 @dataclass
 class SimMetrics:
     generated_count: int
@@ -141,62 +151,6 @@ class SimMetrics:
         return sum(self.delivered_count.values())
 
 
-class _Lanes:
-    """One lane per generator, and the per-run generator constants a slot reads.
-
-    ``slots[k]`` holds the generation slots of generator ``k``'s queued
-    messages, oldest first; ``busy`` is the set of non-empty lanes.
-    ``fresh[k]`` is the value of generator ``k``'s messages at age 0; a
-    generator whose fresh value is 0 never queues a message.
-    ``delivered[k]`` counts generator ``k``'s sent messages, and ``names[k]``
-    is its source kind's value, as the log writes it.
-    ``smallest_size`` is the smallest size of a live generator's messages.
-    ``no_drop_before_ms`` is a time before which no queued message can
-    have decayed to 0 (see ``_no_drop_before_ms``).
-    """
-
-    def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
-        profile = config.voi_config.decay
-        generators = config.generators
-        self.sources = [gen.source for gen in generators]
-        self.names = [source.value for source in self.sources]
-        self.sizes = [gen.size_bits for gen in generators]
-        self.bases = [base_scores[gen.source] for gen in generators]
-        self.spaces = [
-            space_factor(gen.position, config.receiver_position, profile) for gen in generators
-        ]
-        self.qualities = [gen.quality for gen in generators]
-        half_life_ms = profile.time_half_life_ms
-        self.fresh = [
-            decayed_voi(base, 0.0, space, quality, half_life_ms)
-            for base, space, quality in zip(self.bases, self.spaces, self.qualities)
-        ]
-        # The smallest partial product of the decay rule at age 0, over the live generators.
-        smallest = min(
-            (min(base, base * space, value)
-             for base, space, value in zip(self.bases, self.spaces, self.fresh) if value > 0.0),
-            default=1.0,
-        )
-        self.no_drop_before_ms = _no_drop_before_ms(smallest, half_life_ms)
-        self.smallest_size = min((s for s, v in zip(self.sizes, self.fresh) if v > 0.0), default=1)
-        # Per period: the generators that emit, the live ones (nonzero fresh value).
-        self.arrivals = [
-            (period, len(indices), [k for k in indices if self.fresh[k] > 0.0])
-            for period, indices in _period_groups(generators)
-        ]
-        self.slots: list[deque[int]] = [deque() for _ in generators]
-        self.busy: set[int] = set()
-        self.delivered = [0] * len(generators)
-
-    def __eq__(self, other):
-        # Everything else derives from the config, which the state compares.
-        return (
-            isinstance(other, _Lanes)
-            and self.slots == other.slots
-            and self.delivered == other.delivered
-        )
-
-
 class _QueueView:
     """The queued messages, in id order; ``len`` counts them without building them."""
 
@@ -204,42 +158,69 @@ class _QueueView:
         self._state = state
 
     def __len__(self) -> int:
-        return sum(map(len, self._state._lanes.slots))
+        return sum(map(len, self._state._slots))
 
     def __iter__(self):
         state = self._state
         messages = [
             _message(state.config, slot, index, state.base_scores)
-            for index, lane in enumerate(state._lanes.slots)
+            for index, lane in enumerate(state._slots)
             for slot in lane
         ]
         messages.sort(key=lambda m: m.id)
         return iter(messages)
 
 
-@dataclass
 class SimState:
     """Mutable per-run state; advance it with ``step``.
 
-    ``log`` takes a ``TransmissionRecord`` per send through its ``append``,
-    a ``TransmissionLogWriter`` the record's fields through its
-    ``write_row``; ``None`` records none.
+    Public: the run's counters so far and ``log``, which gets each send
+    through its ``write_row`` (``TransmissionRecords`` by default, ``None``
+    for no log).  Private: the per-run generator constants and the lanes.
+    ``_slots[k]`` holds the generation slots of generator ``k``'s queued
+    messages, oldest first; ``_busy`` is the set of non-empty lanes.
+    ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
+    whose fresh value is 0 never queues a message), ``_delivered[k]`` its
+    count of sent messages.  ``_smallest_size`` is the smallest size of a
+    live generator's messages; before ``_no_drop_before_ms`` no queued
+    message can have decayed to 0.
     """
 
-    config: ScenarioConfig
-    base_scores: dict[SourceKind, float]
-    slot: int = 0
-    generated: int = 0
-    dropped: int = 0
-    delivered_value: float = 0.0
-    ages_sum_ms: float = 0.0
-    age_max_ms: float = 0.0
-    transmitted_bits: int = 0
-    log: list[TransmissionRecord] | TransmissionLogWriter | None = field(default_factory=list)
-    _lanes: _Lanes = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._lanes = _Lanes(self.config, self.base_scores)
+    def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
+        self.config, self.base_scores = config, base_scores
+        self.slot = self.generated = self.dropped = self.transmitted_bits = 0
+        self.delivered_value = self.ages_sum_ms = self.age_max_ms = 0.0
+        self.log: TransmissionRecords | TransmissionLogWriter | None = TransmissionRecords()
+        profile = config.voi_config.decay
+        generators = config.generators
+        self._sources = [gen.source for gen in generators]
+        self._sizes = sizes = [gen.size_bits for gen in generators]
+        self._bases = [base_scores[gen.source] for gen in generators]
+        self._spaces = [
+            space_factor(gen.position, config.receiver_position, profile) for gen in generators
+        ]
+        self._qualities = [gen.quality for gen in generators]
+        half_life_ms = profile.time_half_life_ms
+        self._fresh = fresh = [
+            decayed_voi(base, 0.0, space, quality, half_life_ms)
+            for base, space, quality in zip(self._bases, self._spaces, self._qualities)
+        ]
+        # The smallest partial product of the decay rule at age 0, over the live generators.
+        smallest = min(
+            (min(base, base * space, value)
+             for base, space, value in zip(self._bases, self._spaces, fresh) if value > 0.0),
+            default=1.0,
+        )
+        self._no_drop_before_ms = _no_drop_before_ms(smallest, half_life_ms)
+        self._smallest_size = min((s for s, v in zip(sizes, fresh) if v > 0.0), default=1)
+        # Per period: the generators that emit, the live ones (nonzero fresh value).
+        self._arrivals = [
+            (period, len(indices), [k for k in indices if fresh[k] > 0.0])
+            for period, indices in _period_groups(generators)
+        ]
+        self._slots: list[deque[int]] = [deque() for _ in generators]
+        self._busy: set[int] = set()
+        self._delivered = [0] * len(generators)
 
     @property
     def queue(self) -> _QueueView:
@@ -371,22 +352,19 @@ def schedule(queue: list[Message], now_ms: float, config: ScenarioConfig) -> lis
 def _advance(state: SimState, policy: str, end: int) -> None:
     """Run slots ``state.slot`` to ``end - 1``, each as ``step`` describes.
 
-    The run's constants and the decay helpers are bound once per call, and
-    the counters are kept in locals and written back to ``state`` when the
-    call returns.
+    The state's attributes, the log's ``write_row`` and the decay helpers
+    are bound once per call, and the counters are kept in locals and
+    written back to ``state`` when the call returns.
     """
-    config, lanes = state.config, state._lanes
-    slots, busy, fresh, sizes = lanes.slots, lanes.busy, lanes.fresh, lanes.sizes
-    bases, spaces, qualities = lanes.bases, lanes.spaces, lanes.qualities
-    arrivals, counts, generators = lanes.arrivals, lanes.delivered, len(slots)
-    sources, names = lanes.sources, lanes.names
+    slots, busy, fresh, sizes = state._slots, state._busy, state._fresh, state._sizes
+    bases, spaces, qualities = state._bases, state._spaces, state._qualities
+    arrivals, counts, sources = state._arrivals, state._delivered, state._sources
+    generators, config = len(slots), state.config
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
-    no_drop_before_ms, smallest_size = lanes.no_drop_before_ms, lanes.smallest_size
+    no_drop_before_ms, smallest_size = state._no_drop_before_ms, state._smallest_size
     by_value = policy == "voi"
-    log = state.log
-    # A writer formats its rows from the fields: no record, no Enum lookup.
-    write_row = log.write_row if isinstance(log, TransmissionLogWriter) else None
+    write_row = None if state.log is None else state.log.write_row
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
     age_max_ms = state.age_max_ms
@@ -457,13 +435,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             ages_sum_ms += age_ms
             if age_ms > age_max_ms:
                 age_max_ms = age_ms
-            if log is not None:
-                if write_row is not None:
-                    write_row(slot, s * generators + k, names[k], v, size)
-                else:
-                    log.append(
-                        TransmissionRecord(slot, s * generators + k, sources[k], v, size)
-                    )
+            if write_row is not None:
+                write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
@@ -496,11 +469,10 @@ def initial_state(config: ScenarioConfig) -> SimState:
 def _finalize(state: SimState) -> SimMetrics:
     config = state.config
     capacity = config.duration_slots * config.channel_bits_per_slot
-    lanes = state._lanes
     delivered = dict.fromkeys(config.voi_config.sources, 0)
-    for source, count in zip(lanes.sources, lanes.delivered):
+    for source, count in zip(state._sources, state._delivered):
         delivered[source] += count
-    delivered_n = sum(lanes.delivered)
+    delivered_n = sum(state._delivered)
     return SimMetrics(
         generated_count=state.generated,
         delivered_count=delivered,
@@ -515,25 +487,25 @@ def _finalize(state: SimState) -> SimMetrics:
 
 def run(
     config: ScenarioConfig, policy: str = "voi", log: bool | TransmissionLogWriter = True
-) -> tuple[SimMetrics, list[TransmissionRecord] | TransmissionLogWriter | None]:
+) -> tuple[SimMetrics, TransmissionRecords | TransmissionLogWriter | None]:
     """Run the scenario end to end: its metrics and transmission log, deterministic.
 
     The run is one loop over all slots; ``step`` is its one-slot case.
-    With ``log=True`` the log is a list of the records.  With ``log=False``
-    no record is built and the log returned is ``None``.  Any other ``log``
-    takes each record through its ``append`` as it is made and is returned,
-    except a ``TransmissionLogWriter``, which gets each row's fields and
-    writes them as a CSV row, with no record built.
+    With ``log=True`` the log is a ``TransmissionRecords`` list of the
+    records.  With ``log=False`` no record is built and the log returned is
+    ``None``.  Any other ``log``, such as a ``TransmissionLogWriter``, gets
+    each send's fields through its ``write_row`` as it is made and is
+    returned.
     """
     _check_policy(policy)  # reject unknown policies before running
     state = initial_state(config)
-    state.log = [] if log is True else None if log is False else log
+    state.log = TransmissionRecords() if log is True else None if log is False else log
     _advance(state, policy, config.duration_slots)
     return _finalize(state), state.log
 
 
 class TransmissionLogWriter:
-    """A transmission log that writes each record to ``fh`` as a CSV row, keeping none.
+    """A transmission log that writes each send to ``fh`` as a CSV row, keeping none.
 
     No field holds a comma, quote or line break, so a row formatted directly
     is the bytes ``csv.writer(fh, lineterminator="\\n")`` would write.
@@ -544,13 +516,13 @@ class TransmissionLogWriter:
         self._write("slot,message_id,source,effective_voi,size_bits\n")
 
     def write_row(
-        self, slot: int, message_id: int, source: str, effective_voi: float, size_bits: int
+        self, slot: int, message_id: int, source: SourceKind, effective_voi: float, size_bits: int
     ) -> None:
-        """Write one row from its fields; ``source`` is the source kind's value."""
-        self._write(f"{slot},{message_id},{source},{effective_voi:.6f},{size_bits}\n")
+        """Write one row from its fields; the source is written as its value."""
+        self._write(f"{slot},{message_id},{source._value_},{effective_voi:.6f},{size_bits}\n")
 
     def append(self, r: TransmissionRecord) -> None:
-        self.write_row(r.slot, r.message_id, r.source.value, r.effective_voi, r.size_bits)
+        self.write_row(*r)
 
 
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,7 +271,7 @@ def test_simulate_missing_scenario_exits_2(tmp_path):
 
 
 def test_simulate_invalid_scenario_names_field(capsys, tmp_path, overload_path):
-    doc = json.loads(open(overload_path, encoding="utf-8").read())
+    doc = json.loads(Path(overload_path).read_text(encoding="utf-8"))
     doc["duration_slots"] = -1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -280,7 +281,7 @@ def test_simulate_invalid_scenario_names_field(capsys, tmp_path, overload_path):
 
 
 def test_check_invalid_config_names_field(capsys, tmp_path, safety_path):
-    doc = json.loads(open(safety_path, encoding="utf-8").read())
+    doc = json.loads(Path(safety_path).read_text(encoding="utf-8"))
     doc["sources"] = ["surrounding"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -332,3 +333,19 @@ def test_command_line_usage_error_exits_2_without_traceback(safety_path, tmp_pat
     assert "usage: voinet sweep" in result.stderr
     assert "invalid int value: 'abc'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_allocation_failure_exits_1_without_traceback(safety_path, tmp_path):
+    # 10**15 gammas ask for 7 PiB, beyond any 47-bit address space: the
+    # allocation fails at once, before anything is written.
+    out = tmp_path / "out.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "voinet", "sweep", "--config", safety_path,
+         "--steps", "1000000000000000", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

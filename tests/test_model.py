@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voinet import ahp
 from voinet.config import load_voi_config, voi_config_from_dict
@@ -142,6 +142,8 @@ def test_instantiate_rejects_gamma_outside_scale(safety, gamma):
 
 
 @given(st.floats(min_value=1.0 / 9.0, max_value=9.0))
+@example(ahp.SAATY_MIN)
+@example(ahp.SAATY_MAX)
 def test_instantiate_valid_for_any_in_scale_gamma(gamma):
     m = instantiate_matrix(safety_config(), gamma)
     assert ahp.validate(m).ok

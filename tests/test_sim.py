@@ -364,6 +364,25 @@ def test_log_writer_writes_each_row_as_it_is_sent():
         step(state)
         assert buf.getvalue().count("\n") == 1 + sum(r.slot <= slot for r in records)
 
+    # Any object with write_row is a log: it gets each send's fields, the
+    # source as its SourceKind, under run and under step alike.
+    class Sink:
+        def __init__(self):
+            self.rows = []
+
+        def write_row(self, *fields):
+            self.rows.append(fields)
+
+    sink = Sink()
+    assert run(config, log=sink) == (metrics, sink)
+    state = initial_state(config)
+    state.log = Sink()
+    for _ in range(config.duration_slots):
+        step(state)
+    for rows in (sink.rows, state.log.rows):
+        assert rows == [tuple(r) for r in records]
+        assert all(type(source) is SourceKind for _, _, source, _, _ in rows)
+
 
 # --- scenario files -------------------------------------------------------
 

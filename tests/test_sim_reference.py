@@ -54,9 +54,9 @@ def message_value(message, now_ms, config):
 
 
 def crosses_drop_bound(config):
-    """Whether the run's last slot starts where drop checks resume (``_Lanes``)."""
+    """Whether the run's last slot starts where drop checks resume (``SimState``)."""
     last_ms = (config.duration_slots - 1) * config.slot_ms
-    return initial_state(config)._lanes.no_drop_before_ms <= last_ms
+    return initial_state(config)._no_drop_before_ms <= last_ms
 
 
 def assert_matches_reference(config):

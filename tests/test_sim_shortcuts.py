@@ -1,9 +1,9 @@
 """The simulator's shortcuts: no drop check before the drop bound, no pop once
 nothing fits, and log rows formatted without the csv module.
 
-Before ``_Lanes.no_drop_before_ms`` a step evaluates no decay to look for
+Before ``SimState._no_drop_before_ms`` a step evaluates no decay to look for
 drops; the bound must lie below the first age at which any value can reach
-0.  Once the budget left is below ``_Lanes.smallest_size`` a step pops no
+0.  Once the budget left is below ``SimState._smallest_size`` a step pops no
 more heap entries.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its bytes
 must equal what ``csv.writer`` writes for the same rows.
 """
@@ -107,7 +107,7 @@ def test_no_drop_check_before_the_bound(configs_dir, monkeypatch):
     config = load_scenario(configs_dir / "overload_scenario.json")
     state = initial_state(config)
     last_ms = (config.duration_slots - 1) * config.slot_ms
-    assert last_ms < state._lanes.no_drop_before_ms
+    assert last_ms < state._no_drop_before_ms
     calls = []
 
     def counted(*args):
@@ -132,8 +132,8 @@ class SizeRecorder:
     def __init__(self, events):
         self.events = events
 
-    def append(self, record):
-        self.events.append(record.size_bits)
+    def write_row(self, slot, message_id, source, effective_voi, size_bits):
+        self.events.append(size_bits)
 
 
 def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
@@ -156,7 +156,7 @@ def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
     monkeypatch.setattr(sim, "heappop", counted)
     for policy in ("voi", "fifo"):
         state = initial_state(config)
-        assert state._lanes.smallest_size == smallest
+        assert state._smallest_size == smallest
         state.log = SizeRecorder(events)
         pops = exhausted = 0
         for _ in range(config.duration_slots):
