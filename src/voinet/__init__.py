@@ -1,93 +1,9 @@
-"""Value-of-information scoring and dissemination simulation for vehicular networks."""
+"""Value-of-information scoring and dissemination simulation for vehicular networks.
 
-from .ahp import (
-    ConsistencyReport,
-    ValidationResult,
-    WeightVector,
-    consistency,
-    principal_eigenvector,
-    principal_eigenvectors,
-    synthesize,
-    validate,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    StructureError,
-    TemporalOrderError,
-    UnsupportedDimensionError,
-    VoinetError,
-)
+Every name is imported from the module that defines it (``voinet.ahp``,
+``voinet.model``, ``voinet.sim``, ``voinet.config``, ``voinet.cli``,
+``voinet.errors``).  The two config loaders are also bound here because the
+benchmark worker calls them at package level.
+"""
+
 from .config import load_scenario, load_voi_config
-from .model import (
-    ApplicationKind,
-    Attribute,
-    DecayProfile,
-    Metadata,
-    SourceKind,
-    SpaceShape,
-    VoiConfig,
-    assess,
-    assess_gammas,
-    effective_voi,
-    instantiate_matrix,
-    safety_config,
-    source_scores,
-)
-from .sim import (
-    GeneratorSpec,
-    Message,
-    ScenarioConfig,
-    SimMetrics,
-    TransmissionRecord,
-    generate,
-    run,
-    schedule,
-    step,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ApplicationKind",
-    "Attribute",
-    "ConfigError",
-    "ConsistencyReport",
-    "ConvergenceError",
-    "DecayProfile",
-    "DomainError",
-    "GeneratorSpec",
-    "Message",
-    "Metadata",
-    "ScenarioConfig",
-    "SimMetrics",
-    "SourceKind",
-    "SpaceShape",
-    "StructureError",
-    "TemporalOrderError",
-    "TransmissionRecord",
-    "UnsupportedDimensionError",
-    "ValidationResult",
-    "VoiConfig",
-    "VoinetError",
-    "WeightVector",
-    "assess",
-    "assess_gammas",
-    "consistency",
-    "effective_voi",
-    "generate",
-    "instantiate_matrix",
-    "load_scenario",
-    "load_voi_config",
-    "principal_eigenvector",
-    "principal_eigenvectors",
-    "run",
-    "safety_config",
-    "schedule",
-    "source_scores",
-    "step",
-    "synthesize",
-    "validate",
-    "__version__",
-]

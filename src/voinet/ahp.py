@@ -139,7 +139,7 @@ def validate(entries) -> ValidationResult:
                     Violation(
                         "reciprocity",
                         (i, j),
-                        f"entries ({i},{j}) and ({j},{i}) multiply to {prod!r}, not 1",
+                        f"entries ({i},{j}) and ({j},{i}) multiply to {float(prod)!r}, not 1",
                     )
                 )
     for i in range(n):
@@ -289,9 +289,11 @@ def synthesize(attribute_weights, conditional) -> np.ndarray:
     sums = np.atleast_1d(w.sum(axis=-1))
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_ATOL)
     if bad.size:
-        raise DomainError(f"attribute weights sum to {sums[bad[0]]!r}, expected 1")
+        raise DomainError(f"attribute weights sum to {float(sums[bad[0]])!r}, expected 1")
     row_sums = c.sum(axis=1)
     bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_ATOL)[0]
     if bad.size:
-        raise DomainError(f"conditional row {bad[0]} sums to {row_sums[bad[0]]!r}, expected 1")
+        raise DomainError(
+            f"conditional row {bad[0]} sums to {float(row_sums[bad[0]])!r}, expected 1"
+        )
     return _dot(c, w.T[..., None])

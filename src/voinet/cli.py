@@ -15,7 +15,8 @@ reals are formatted with six decimals.  Exit codes: 0 success; 2 config
 file missing, unreadable, not UTF-8 JSON or invalid (the message names
 the field), or a command line that argparse rejects, such as
 ``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
-``--log`` that names the ``--out`` file; 1 anything else, such as an output
+``--log`` that names the ``--out`` file, or an ``--out`` or ``--log`` that
+names the input config; 1 anything else, such as an output
 file that cannot be written (``simulate`` opens ``--out`` and ``--log`` before
 any run, and leaves no ``--out`` it made when ``--log`` fails) or a request
 too large for memory, such as ``sweep --steps 1000000000000000``.
@@ -132,6 +133,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _reject_same_file(args, ("out", "config"))
     config = load_voi_config(args.config)
     rows = gamma_sweep(
         config,
@@ -159,9 +161,16 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
+def _reject_same_file(args, *pairs) -> None:
+    """Raise ``DomainError`` if the two options of any pair name one file."""
+    for a, b in pairs:
+        path = getattr(args, a)
+        if path and _same_file(path, getattr(args, b)):
+            raise DomainError(f"--{a} and --{b} name the same file: {path}")
+
+
 def _cmd_simulate(args) -> int:
-    if args.log and _same_file(args.log, args.out):
-        raise DomainError(f"--log and --out name the same file: {args.log}")
+    _reject_same_file(args, ("log", "out"), ("out", "scenario"), ("log", "scenario"))
     scenario = load_scenario(args.scenario)
     sources = scenario.voi_config.sources
     # --out, then --log, is opened before any run, so a file that cannot be

@@ -101,6 +101,7 @@ def test_validate_reciprocity_violation_reported_below_diagonal():
     violation = result.violations[0]
     assert violation.kind == "reciprocity"
     assert violation.index == (1, 0)
+    assert violation.message == "entries (1,0) and (0,1) multiply to 1.5, not 1"
 
 
 def test_validate_diagonal_violation():
@@ -307,14 +308,25 @@ def test_synthesize_accepts_weight_vector():
     assert scores == pytest.approx([0.6, 0.4], abs=1e-12)
 
 
-def test_synthesize_dimension_mismatch():
+@pytest.mark.parametrize(
+    "weights,conditional",
+    [
+        ([0.5, 0.5], [[1.0, 0.0]]),
+        (np.full((1, 1, 2), 0.5), [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], [1.0, 0.0]),
+    ],
+    ids=["rows", "weights-3d", "conditional-1d"],
+)
+def test_synthesize_dimension_mismatch(weights, conditional):
     with pytest.raises(StructureError):
-        ahp.synthesize([0.5, 0.5], [[1.0, 0.0]])
+        ahp.synthesize(weights, conditional)
 
 
 def test_synthesize_rejects_bad_row_sum():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^conditional row 0 sums to 1\.1, expected 1$"):
         ahp.synthesize([0.5, 0.5], [[0.9, 0.2], [0.3, 0.7]])
+    with pytest.raises(DomainError, match=r"^attribute weights sum to 1\.2, expected 1$"):
+        ahp.synthesize([[0.5, 0.5], [0.6, 0.6]], [[0.9, 0.1], [0.3, 0.7]])
 
 
 def test_synthesize_rejects_negative_weight():

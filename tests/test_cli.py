@@ -322,6 +322,28 @@ def test_simulate_log_naming_the_out_file_exits_3(capsys, tmp_path, overload_pat
     assert not out.exists() or out.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "config,args",
+    [
+        ("safety.json", ["sweep", "--config", "{input}", "--steps", "3", "--out", "{input}"]),
+        ("overload_scenario.json", ["simulate", "--scenario", "{input}", "--out", "{input}"]),
+        ("overload_scenario.json",
+         ["simulate", "--scenario", "{input}", "--out", "{tmp}/m.csv", "--log", "{input}"]),
+    ],
+    ids=["sweep-out", "simulate-out", "simulate-log"],
+)
+def test_output_naming_the_input_config_exits_3(capsys, tmp_path, configs_dir, config, args):
+    source = tmp_path / config
+    source.write_bytes((configs_dir / config).read_bytes())
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(input=source, tmp=tmp_path) for a in args]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "same file" in captured.err
+    assert source.read_bytes() == (configs_dir / config).read_bytes()
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_command_line_usage_error_exits_2_without_traceback(safety_path, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "voinet", "sweep", "--config", safety_path,

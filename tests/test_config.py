@@ -8,9 +8,12 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import voinet
+import voinet.config
 from voinet.cli import EXIT_CONFIG, EXIT_ERROR, main
 from voinet.config import load_voi_config, scenario_from_dict, voi_config_from_dict
 from voinet.errors import ConfigError
+from voinet.model import SpaceShape
 
 from conftest import REPO_ROOT
 
@@ -121,6 +124,10 @@ ESCAPES = [
     ("simulate", ("gamma",), 12.0, "gamma"),
     ("simulate", ("slot_ms",), 1e308, "slot_ms"),  # 200 slots of it overflow to inf
     ("simulate", ("duration_slots",), 10**400, "duration_slots"),
+    ("check", ("attributes",), ["time_dependency"], "attributes"),
+    ("check", ("sources",), ["surrounding", "surrounding"], "sources"),
+    ("check", ("cr_threshold",), 0, "cr_threshold"),
+    ("simulate", ("slot_ms",), 10**400, "slot_ms"),
 ]
 
 
@@ -167,6 +174,14 @@ UNKNOWN_KEYS = [
 @pytest.mark.parametrize("command,path,value,field", UNKNOWN_KEYS)
 def test_unknown_key_exits_2_naming_it(capsys, tmp_path, command, path, value, field):
     assert_exits_2_naming(capsys, tmp_path, command, path, value, field)
+
+
+def test_absent_optional_fields_take_their_defaults():
+    doc = document(SAFETY)
+    del doc["cr_threshold"], doc["decay"]["space_shape"]
+    config = voi_config_from_dict(doc)
+    assert config.cr_threshold == 0.1
+    assert config.decay.space_shape is SpaceShape.NEAR_PREFERRED
 
 
 def test_integral_float_is_accepted_as_integer(tmp_path):
@@ -227,3 +242,10 @@ def test_output_in_missing_directory_exits_1(capsys, tmp_path, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / "missing") in err
+
+
+def test_package_binds_the_two_loaders():
+    # perfbench/worker.py calls both as voinet.<loader>, and the tier-1 suite
+    # does not run perfbench: this is the one check that they stay bound.
+    assert voinet.load_scenario is voinet.config.load_scenario
+    assert voinet.load_voi_config is voinet.config.load_voi_config
