@@ -20,11 +20,15 @@ names the input config; 1 anything else, such as an output
 file that cannot be written (``simulate`` opens ``--out`` and ``--log`` before
 any run, and leaves no ``--out`` it made when ``--log`` fails) or a request
 too large for memory, such as ``sweep --steps 1000000000000000``.
+A call runs with the cyclic garbage collector paused: all it allocates but
+argparse's parser is acyclic, so collections would only rescan numpy's
+import-time objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import NamedTuple
@@ -108,7 +112,10 @@ def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
     header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in config.sources]
     fh.write(",".join(header) + "\n")
     row_format = "%.6f,%.6f,%s" + ",%.6f" * len(config.sources) + "\n"  # %.6f is f"{x:.6f}"
-    fh.write("".join(row_format % (g, cr, "true" if ok else "false", *s) for g, cr, ok, s in rows))
+    values = []
+    for g, cr, ok, s in rows:
+        values += (g, cr, "true" if ok else "false", *s)
+    fh.write(row_format * len(rows) % tuple(values))
 
 
 def _cmd_check(args) -> int:
@@ -256,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
@@ -272,6 +280,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, CSV outputs, exit codes."""
 
 import csv
+import dataclasses
+import gc
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from voinet import cli
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
 from voinet.config import load_voi_config
 from voinet.errors import DomainError
+from voinet.model import SourceKind
 
 
 @pytest.fixture
@@ -83,6 +87,35 @@ def test_write_sweep_csv_format(safety):
         "gamma,cr,consistent,voi_surrounding,voi_position\n"
         "1.000000,0.117000,false,0.250000,0.750000\n"
     )
+
+
+def reference_sweep_csv(rows, config):
+    """The sweep CSV formatted one row and one cell at a time."""
+    header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in config.sources]
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [f"{row.gamma:.6f}", f"{row.cr:.6f}", "true" if row.is_consistent else "false"]
+        lines.append(",".join(cells + [f"{v:.6f}" for v in row.scores]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 300])
+def test_write_sweep_csv_matches_per_row_formatting(safety, n_rows):
+    # Values that round at the sixth decimal, mixed with arbitrary ones.
+    tricky = (5e-7, 2.5e-7, 0.1234565, 8.9999995)
+    rng = random.Random(n_rows)
+
+    def value():
+        return rng.choice(tricky + (rng.uniform(0.0, 9.0),))
+
+    config = dataclasses.replace(safety, sources=tuple(SourceKind))
+    rows = [
+        SweepRow(value(), value(), i % 3 == 0, tuple(value() for _ in config.sources))
+        for i in range(n_rows)
+    ]
+    buf = io.StringIO()
+    write_sweep_csv(rows, config, buf)
+    assert buf.getvalue() == reference_sweep_csv(rows, config)
 
 
 # --- check ----------------------------------------------------------------
@@ -371,3 +404,68 @@ def test_allocation_failure_exits_1_without_traceback(safety_path, tmp_path):
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+# --- garbage collector --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("config", "extra", "code"),
+    [
+        ("safety.json", [], 0),
+        ("absent.json", [], 2),
+        ("safety.json", ["--steps", "abc"], 2),  # argparse raises SystemExit
+        ("safety.json", ["--gamma-min", "0.05"], 3),
+        ("safety.json", ["--steps", "1000000000000000"], 1),  # MemoryError
+    ],
+    ids=["success", "missing-config", "usage-error", "domain-error", "out-of-memory"],
+)
+def test_main_restores_the_garbage_collector(capsys, tmp_path, configs_dir, config, extra, code):
+    argv = ["sweep", "--config", str(configs_dir / config), "--out", str(tmp_path / "out.csv")]
+    assert gc.isenabled()
+    try:
+        assert main(argv + extra) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert gc.isenabled()
+    capsys.readouterr()
+
+
+def test_main_leaves_a_paused_garbage_collector_paused(tmp_path, safety_path):
+    gc.disable()
+    try:
+        assert main(sweep_args(safety_path, tmp_path / "out.csv")) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_cyclic_garbage_of_a_call_does_not_grow_with_its_work(
+    capsys, tmp_path, safety_path, overload_path
+):
+    # main pauses the cyclic collector because what a call leaves for it is
+    # argparse's parser graph alone; rows, lanes, heap keys and log rows are
+    # freed by reference counting, whatever the size of the work.
+    def cyclic_garbage_left_by(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    doc = json.loads(Path(overload_path).read_text(encoding="utf-8"))
+    counts = [
+        cyclic_garbage_left_by(sweep_args(safety_path, tmp_path / "sweep.csv", steps=steps))
+        for steps in (10, 5000)
+    ]
+    for slots in (50, 400):
+        scenario = tmp_path / f"scenario_{slots}.json"
+        scenario.write_text(json.dumps({**doc, "duration_slots": slots}), encoding="utf-8")
+        counts.append(cyclic_garbage_left_by(
+            ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "metrics.csv"),
+             "--log", str(tmp_path / "log.csv")]
+        ))
+    assert counts == [counts[0]] * 4
+    capsys.readouterr()
