@@ -22,12 +22,20 @@ value, space factor, quality and size, so within a lane
 * all messages have one size, so once one does not fit in the remaining
   budget, none of the lane's messages fits for the rest of the slot.
 
-A slot therefore drops each lane's zero-valued prefix, merges the lanes'
-next messages through a heap keyed on the policy's order, skips a lane
-whose next message does not fit, and stops once no live generator's size
-fits.  That sends, keeps and drops exactly what scoring and sorting the
-whole queue would, at a cost per slot that grows with the busy lanes and
-the messages sent, not with the queue length.
+A slot therefore visits two kinds of lane.  A lane that this slot's
+arrival makes non-empty is keyed on arrival, on its one fresh message.  A
+lane carried from the last slot has its zero-valued prefix dropped and its
+next message keyed.  The slot merges the keys through a heap on the
+policy's order, skips a lane whose next message does not fit, and stops
+once no live generator's size fits.  When it ends, every non-empty lane
+was either skipped or still has its key in the heap, so those lanes are
+the next slot's carried list, each once; a lane emptied by sends or drops
+is not visited again until an arrival refills it.  The heap holds one key
+per lane and each key names its generator, so no two keys are equal and
+the heap pops them in one order whatever order they entered it.  That
+sends, keeps and drops exactly what scoring and sorting the whole queue
+would, at a cost per slot that grows with the carried lanes, the arrivals
+and the messages sent, not with the queue length.
 
 The heap keys are integers: ``(-value, slot, generator, index)`` for voi
 and ``(slot, generator)`` for fifo.  They order messages exactly as
@@ -178,7 +186,8 @@ class SimState:
     through its ``write_row`` (``TransmissionRecords`` by default, ``None``
     for no log).  Private: the per-run generator constants and the lanes.
     ``_slots[k]`` holds the generation slots of generator ``k``'s queued
-    messages, oldest first; ``_busy`` is the set of non-empty lanes.
+    messages, oldest first; ``_carried`` lists the lanes that were non-empty
+    when the last slot ended, each once: the next slot's worklist.
     ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
     whose fresh value is 0 never queues a message), ``_delivered[k]`` its
     count of sent messages.  ``_smallest_size`` is the smallest size of a
@@ -219,7 +228,7 @@ class SimState:
             for period, indices in _period_groups(generators)
         ]
         self._slots: list[deque[int]] = [deque() for _ in generators]
-        self._busy: set[int] = set()
+        self._carried: list[int] = []
         self._delivered = [0] * len(generators)
 
     @property
@@ -356,7 +365,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     are bound once per call, and the counters are kept in locals and
     written back to ``state`` when the call returns.
     """
-    slots, busy, fresh, sizes = state._slots, state._busy, state._fresh, state._sizes
+    slots, carried, fresh, sizes = state._slots, state._carried, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
     arrivals, counts, sources = state._arrivals, state._delivered, state._sources
     generators, config = len(slots), state.config
@@ -364,6 +373,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
     no_drop_before_ms, smallest_size = state._no_drop_before_ms, state._smallest_size
     by_value = policy == "voi"
+    lane_at = 2 if by_value else 1  # where a heap key holds its lane
     write_row = None if state.log is None else state.log.write_row
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
@@ -383,27 +393,27 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     for slot in range(state.slot, end):
         now_ms = slot * slot_ms
+        heap, skipped = [], []
         for period, emitting, live in arrivals:
             if slot % period == 0:
                 generated += emitting
                 dropped += emitting - len(live)
                 for k in live:
-                    slots[k].append(slot)
-                busy.update(live)
+                    lane = slots[k]
+                    if not lane:  # a new lane: its one message is worth fresh[k]
+                        heap.append((-fresh[k], slot, k, 0) if by_value else (slot, k))
+                    lane.append(slot)
 
-        heap = []
         # Before the bound no value can have decayed to 0, and a message of
         # this slot is worth fresh[k] > 0: no decay to evaluate for either.
         check_drops = now_ms >= no_drop_before_ms
-        for k in list(busy):
+        for k in carried:
             lane = slots[k]
             while check_drops and lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
                 lane.popleft()
                 dropped += 1
-            if not lane:  # emptied by drops, or by the sends of an earlier slot
-                busy.discard(k)
-                continue
-            heap.append(best(k) if by_value else (lane[0], k))
+            if lane:
+                heap.append(best(k) if by_value else (lane[0], k))
         heapify(heap)
 
         remaining = budget
@@ -414,7 +424,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 s, k = heappop(heap)
             size = sizes[k]
             if size > remaining:
-                continue  # the rest of the lane has this size too: none of it fits
+                skipped.append(k)  # the rest of the lane has this size too: none of it fits
+                continue
             remaining -= size
             lane = slots[k]
             if by_value:
@@ -438,10 +449,12 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             if write_row is not None:
                 write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
+        # Every non-empty lane was skipped or still has its key in the heap.
+        carried = skipped + [key[lane_at] for key in heap]
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
-    state.age_max_ms = age_max_ms
+    state.age_max_ms, state._carried = age_max_ms, carried
     state.slot = end
 
 

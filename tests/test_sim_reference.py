@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voinet import sim
 from voinet.config import load_scenario
@@ -180,14 +181,19 @@ def test_dead_generators_match_reference():
     assert_matches_reference(config)
 
 
-def test_message_larger_than_budget_matches_reference():
+def oversized_scenario():
+    """The best lane's messages never fit, so every slot skips it."""
     generators = [
         gen(size=2500, quality=1.0, position=(0.0, 0.0)),  # never fits
         gen(size=1500, quality=0.8),
         gen(source=SourceKind.POSITION, size=500, quality=0.3, period=2),
         gen(source=SourceKind.POSITION, size=700, quality=0.6, period=3),
     ]
-    config = scenario(generators, duration=200, budget=2000)
+    return scenario(generators, duration=200, budget=2000)
+
+
+def test_message_larger_than_budget_matches_reference():
+    config = oversized_scenario()
     metrics, log = run(config, "voi")
     assert all(record.size_bits < 2500 for record in log)
     assert metrics.residual_count >= 200  # every oversized message stays queued
@@ -237,6 +243,71 @@ def test_fleet_scale_matches_reference(seed, slot_ms):
         assert list(metrics.delivered_count) == list(config.voi_config.sources)
         assert metrics.dropped_count > 0 and metrics.channel_utilization > 0.8
     assert_matches_reference(config)
+
+
+# --- differential fuzz --------------------------------------------------------
+
+RADIUS_M = 300.0  # of safety_config()
+# On, beside and beyond the radius, and the receiver's own position.
+POSITIONS = st.sampled_from(
+    [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (math.nextafter(RADIUS_M, 0.0), 0.0),
+     (RADIUS_M, 0.0), (0.0, 450.0)]
+) | st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0))
+QUALITIES = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 2.0**-1000, 0.5, 1.0]) | st.floats(
+    0.0, 1.0
+)
+# From slots whose neighbours in a lane tie to slots of many half-lives,
+# where values underflow within a few slots and every slot checks for drops.
+SLOT_MS = st.sampled_from(
+    [1e-14, 3e-14, 1.0, HALF_LIFE_MS / 2.0, HALF_LIFE_MS, 40 * HALF_LIFE_MS]
+) | st.floats(1e-14, 200 * HALF_LIFE_MS)
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    budget = draw(st.integers(1, 3000))
+    sizes = st.integers(1, budget) | st.just(budget)
+    spec = st.builds(
+        gen,
+        source=st.sampled_from([SourceKind.SURROUNDING, SourceKind.POSITION]),
+        period=st.integers(1, 10),
+        size=sizes,
+        quality=QUALITIES,
+        position=POSITIONS,
+    )
+    generators = draw(st.lists(spec, min_size=1, max_size=12))
+    # Duplicates of drawn generators: equal values, tied on id alone.
+    copies = draw(st.lists(st.sampled_from(generators), max_size=12 - len(generators)))
+    decay = DecayProfile(HALF_LIFE_MS, RADIUS_M, draw(st.sampled_from(SpaceShape)))
+    return scenario(
+        generators + copies,
+        duration=draw(st.integers(1, 40)),
+        budget=budget,
+        slot_ms=draw(SLOT_MS),
+        decay=decay,
+    )
+
+
+@settings(
+    max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(config=fuzz_scenarios(), chunks=st.lists(st.integers(1, 12), max_size=20))
+def test_fuzzed_scenarios_match_reference(config, chunks):
+    # One state is advanced by single steps and by multi-slot loops in turn,
+    # so whatever a slot leaves on the state for the next must carry over
+    # between calls as it does within one.
+    for policy in POLICIES:
+        state = initial_state(config)
+        for chunk in chunks + [config.duration_slots]:
+            if state.slot == config.duration_slots:
+                break
+            if chunk == 1:
+                step(state, policy)
+            else:
+                sim._advance(state, policy, min(state.slot + chunk, config.duration_slots))
+        expected_metrics, expected_log = reference_run(config, policy)
+        assert sim._finalize(state) == expected_metrics, policy
+        assert state.log == expected_log, policy
 
 
 # --- behaviours of the public step API --------------------------------------

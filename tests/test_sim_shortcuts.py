@@ -1,14 +1,18 @@
 """The simulator's shortcuts: no drop check before the drop bound, no pop once
-nothing fits, and log rows formatted without the csv module.
+nothing fits, a slot that visits only the lanes the last one left queued, and
+log rows formatted without the csv module.
 
 Before ``SimState._no_drop_before_ms`` a step evaluates no decay to look for
 drops; the bound must lie below the first age at which any value can reach
 0.  Once the budget left is below ``SimState._smallest_size`` a step pops no
-more heap entries.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its bytes
-must equal what ``csv.writer`` writes for the same rows.
+more heap entries.  ``SimState._carried``, the next slot's worklist, must
+name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
+writes each row with one ``fh.write``; its bytes must equal what
+``csv.writer`` writes for the same rows.
 """
 
 import csv
+import dataclasses
 import heapq
 import io
 import math
@@ -39,7 +43,7 @@ from voinet.sim import (
     write_transmission_log,
 )
 
-from test_sim_reference import fleet
+from test_sim_reference import fleet, oversized_scenario, underflow_scenario
 
 # --- the drop bound -----------------------------------------------------------
 
@@ -171,6 +175,38 @@ def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
                     remaining -= size
             exhausted += remaining < smallest
         assert pops > 0 and exhausted > 0, policy
+
+
+# --- the carried lanes --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["overload", "fleet", "underflow", "oversized"])
+def test_carried_lanes_are_the_non_empty_lanes(name, configs_dir):
+    # A slot keys a lane that was empty only on arrival and visits no other
+    # lane than the carried ones: a non-empty lane left out of the list
+    # would never be sent, and one named twice would be keyed twice.
+    config = {
+        "overload": lambda: dataclasses.replace(
+            load_scenario(configs_dir / "overload_scenario.json"), duration_slots=800
+        ),
+        "fleet": lambda: fleet(0),
+        "underflow": underflow_scenario,  # crosses the drop bound
+        "oversized": oversized_scenario,  # skips a lane every slot
+    }[name]()
+    for policy in ("voi", "fifo"):
+        state = initial_state(config)
+        state.log = None
+        carried_slots = 0
+        for _ in range(config.duration_slots):
+            step(state, policy)
+            carried = state._carried
+            assert len(carried) == len(set(carried)), (policy, state.slot)
+            assert set(carried) == {k for k, lane in enumerate(state._slots) if lane}, (
+                policy,
+                state.slot,
+            )
+            carried_slots += bool(carried)
+        assert carried_slots > 0, policy
 
 
 # --- log rows -----------------------------------------------------------------
