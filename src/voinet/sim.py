@@ -5,10 +5,10 @@ of their source kind.  Each slot, messages whose effective value (base
 value decayed by time, space and quality) has reached zero are dropped,
 and the rest are transmitted greedily, in the policy's order, into a
 per-slot bit budget: a message either fits entirely in the remaining
-budget or stays queued (no fragmentation).  Two orderings are available:
-value-descending ("voi", the scheduler under study) and generation-order
-("fifo", the comparison baseline).  Ties go to the earlier generation
-time, then the smaller id.
+budget or stays queued (no fragmentation).  Both policies order on rank,
+then generation time, then id: "voi" (the scheduler under study) ranks by
+value, descending, and "fifo" (the comparison baseline) ranks every
+message equal, so it sends in generation order.
 
 The queue is kept as one lane per generator: the generation slots of its
 queued messages, oldest first.  The messages of one generator share base
@@ -17,8 +17,8 @@ value, space factor, quality and size, so within a lane
 * value does not rise with age: the zero-valued messages form a prefix
   at the old end, and the lane's best message is at its new end;
 * equal values go oldest first, as the global tie-break orders them, so
-  the lane's first message in value order is the oldest of the
-  equal-value run at its new end;
+  the lane's first message in voi order is the oldest of the equal-value
+  run at its new end (a fifo lane is one equal-rank run: its oldest);
 * all messages have one size, so once one does not fit in the remaining
   budget, none of the lane's messages fits for the rest of the slot.
 
@@ -37,21 +37,22 @@ sends, keeps and drops exactly what scoring and sorting the whole queue
 would, at a cost per slot that grows with the carried lanes, the arrivals
 and the messages sent, not with the queue length.
 
-The heap keys are integers: ``(-value, slot, generator, index)`` for voi
-and ``(slot, generator)`` for fifo.  They order messages exactly as
-``(generated_at_ms, id)`` does, with ``generated_at_ms = slot * slot_ms``
-and ``id = slot * generators + generator``: ``slot_ms > 0`` and rounding
-is monotone, so an earlier slot is never generated later, and where two
-slots round to one time the id still puts the earlier slot first.  The
-generation time and id are computed only for a message that is sent.
-Decay is evaluated only where the order needs it.  A message of the
+Both policies key a lane on ``(rank, slot, generator, index)``: the rank
+is ``-value`` for voi and ``0.0`` for fifo, then come the message's
+generation slot, generator and place in the lane.  The key orders messages
+exactly as ``(rank, generated_at_ms, id)`` does, with ``generated_at_ms =
+slot * slot_ms`` and ``id = slot * generators + generator``: ``slot_ms >
+0`` and rounding is monotone, so an earlier slot is never generated later,
+and where two slots round to one time the id still puts the earlier slot
+first.  The generation time and id are computed only for a message that is
+sent.  Decay is evaluated only where the order needs it.  A message of the
 current slot is worth its generator's fresh value (``validate_scenario``
 keeps every ``slot * slot_ms`` finite, so its age is exactly 0), and a
-lane whose oldest message is that fresh one needs no drop check.  fifo
-never ranks by value, so it evaluates decay only for the drop check at a
-lane's old end and for the messages it sends.  Within a slot, after a voi
-send from an equal-value run the run's next message is the lane's next,
-with no evaluation.  Deliveries are counted per generator, and the
+lane whose oldest message is that fresh one needs no drop check.  After a
+send, an equal-rank run's next message is the lane's next, keyed on the
+same rank with no evaluation.  A fifo lane is one such run from index 0, so
+fifo evaluates decay only for the drop check at a lane's old end and for
+the messages it sends.  Deliveries are counted per generator, and the
 metrics sum them per source at the end of the run.
 
 A positive value reaches 0 only by float underflow, after about a
@@ -373,7 +374,6 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
     no_drop_before_ms, smallest_size = state._no_drop_before_ms, state._smallest_size
     by_value = policy == "voi"
-    lane_at = 2 if by_value else 1  # where a heap key holds its lane
     write_row = None if state.log is None else state.log.write_row
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
@@ -383,7 +383,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
         return decayed_voi(bases[k], now_ms - s * slot_ms, spaces[k], qualities[k], half_life_ms)
 
     def best(k: int) -> tuple[float, int, int, int]:
-        """voi heap key of lane ``k``: the oldest of the equal-value run at its new end."""
+        """voi key of lane ``k``: the oldest of the equal-value run at its new end, rank -value."""
         lane = slots[k]
         i = len(lane) - 1
         v = fresh[k] if lane[i] == slot else value(k, lane[i])
@@ -401,7 +401,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 for k in live:
                     lane = slots[k]
                     if not lane:  # a new lane: its one message is worth fresh[k]
-                        heap.append((-fresh[k], slot, k, 0) if by_value else (slot, k))
+                        heap.append((-fresh[k] if by_value else 0.0, slot, k, 0))
                     lane.append(slot)
 
         # Before the bound no value can have decayed to 0, and a message of
@@ -413,33 +413,24 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 lane.popleft()
                 dropped += 1
             if lane:
-                heap.append(best(k) if by_value else (lane[0], k))
+                heap.append(best(k) if by_value else (0.0, lane[0], k, 0))
         heapify(heap)
 
         remaining = budget
         while heap and remaining >= smallest_size:  # below it, no queued message fits
-            if by_value:
-                neg_v, s, k, i = heappop(heap)
-            else:
-                s, k = heappop(heap)
+            rank, s, k, i = heappop(heap)
             size = sizes[k]
             if size > remaining:
                 skipped.append(k)  # the rest of the lane has this size too: none of it fits
                 continue
             remaining -= size
             lane = slots[k]
-            if by_value:
-                v = -neg_v
-                del lane[i]
-                if i < len(lane):  # the equal-value run goes on, oldest first
-                    heappush(heap, (neg_v, lane[i], k, i))
-                elif lane:
-                    heappush(heap, best(k))
-            else:
-                v = fresh[k] if s == slot else value(k, s)
-                lane.popleft()
-                if lane:
-                    heappush(heap, (lane[0], k))
+            del lane[i]
+            if i < len(lane):  # the equal-rank run goes on, oldest first (all of a fifo lane)
+                heappush(heap, (rank, lane[i], k, i))
+            elif lane:
+                heappush(heap, best(k))
+            v = -rank if by_value else (fresh[k] if s == slot else value(k, s))
             counts[k] += 1
             delivered_value += v
             age_ms = now_ms - s * slot_ms
@@ -450,7 +441,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
         # Every non-empty lane was skipped or still has its key in the heap.
-        carried = skipped + [key[lane_at] for key in heap]
+        carried = skipped + [key[2] for key in heap]
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
@@ -534,12 +525,9 @@ class TransmissionLogWriter:
         """Write one row from its fields; the source is written as its value."""
         self._write(f"{slot},{message_id},{source._value_},{effective_voi:.6f},{size_bits}\n")
 
-    def append(self, r: TransmissionRecord) -> None:
-        self.write_row(*r)
-
 
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:
     """CSV log: slot, message id, source kind, effective value, size."""
-    writer = TransmissionLogWriter(fh)
+    write_row = TransmissionLogWriter(fh).write_row
     for r in records:
-        writer.append(r)
+        write_row(*r)

@@ -310,6 +310,64 @@ def test_fuzzed_scenarios_match_reference(config, chunks):
         assert state.log == expected_log, policy
 
 
+# With a half-life this long, 2**(-age / half_life) rounds to exactly 1 for
+# every age below about 1e283 ms: no message ever decays.
+UNDECAYED = DecayProfile(1e300, RADIUS_M, SpaceShape.NEAR_PREFERRED)
+SOURCES = st.sampled_from([SourceKind.SURROUNDING, SourceKind.POSITION])
+IN_RADIUS = st.sampled_from(
+    [(0.0, 0.0), (50.0, 0.0), (math.nextafter(RADIUS_M, 0.0), 0.0)]
+) | st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0))
+
+
+@st.composite
+def equal_value_scenarios(draw):
+    """Live generators share one source, in-radius position and quality, so
+    every live message is worth the same at every age; dead generators lie
+    beyond the radius or have quality 0.  Sizes reach the budget + 1, so
+    some lanes never fit and are skipped every slot."""
+    budget = draw(st.integers(1, 3000))
+    periods, sizes = st.integers(1, 10), st.integers(1, budget + 1) | st.just(budget + 1)
+    quality = draw(st.sampled_from([1e-300, 0.5, 1.0]) | st.floats(1e-300, 1.0))
+    live = st.builds(
+        gen, source=st.just(draw(SOURCES)), period=periods, size=sizes,
+        quality=st.just(quality), position=st.just(draw(IN_RADIUS)),
+    )
+    dead = st.builds(
+        gen, source=SOURCES, period=periods, size=sizes, quality=st.just(0.0), position=IN_RADIUS
+    ) | st.builds(
+        gen, source=SOURCES, period=periods, size=sizes, quality=QUALITIES,
+        position=st.sampled_from([(RADIUS_M, 0.0), (0.0, 450.0)]),
+    )
+    generators = draw(st.lists(live, min_size=1, max_size=8)) + draw(st.lists(dead, max_size=4))
+    return scenario(
+        draw(st.permutations(generators)),
+        duration=draw(st.integers(1, 40)),
+        budget=budget,
+        slot_ms=draw(st.sampled_from([1e-14, 1.0, 100.0, 1e250]) | st.floats(5e-324, 1e250)),
+        decay=UNDECAYED,
+    )
+
+
+@settings(
+    max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(config=equal_value_scenarios())
+def test_equal_values_make_voi_send_in_fifo_order(config):
+    # voi breaks ties on generation time, then id: fifo's order.  With every
+    # live message worth one value, both policies send the same messages at
+    # the same value, in one loop over the slots and one step at a time.
+    assert len({value for value in initial_state(config)._fresh if value > 0.0}) <= 1
+    outcomes = []
+    for policy in POLICIES:
+        state = initial_state(config)
+        for _ in range(config.duration_slots):
+            step(state, policy)
+        metrics, log = run(config, policy)
+        assert (sim._finalize(state), state.log) == (metrics, log), policy
+        outcomes.append((metrics, log))
+    assert outcomes[0] == outcomes[1]
+
+
 # --- behaviours of the public step API --------------------------------------
 
 

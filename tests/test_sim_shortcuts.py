@@ -261,7 +261,7 @@ EDGE_VALUES = [0.0, SUBNORMAL_MIN, 1e-7, 4.999999e-7, 5e-7, 5.000001e-7, 1.5e-6,
 
 def test_log_writer_bytes_equal_csv_writer(monkeypatch):
     # Every row goes through write_row: the rows of run's loop, of step's
-    # one-slot case, and of append, which the edge values take.
+    # one-slot case, and of write_transmission_log, which the edge values take.
     rows = []
     write_row = TransmissionLogWriter.write_row
 
