@@ -11,15 +11,18 @@ Subcommands:
   baseline, emit a metrics CSV and optionally a transmission log
 
 All emitted files are deterministic byte-for-byte given identical inputs;
-reals are formatted with six decimals.  Exit codes: 0 success; 2 config
-file missing, unreadable, not UTF-8 JSON or invalid (the message names
-the field), or a command line that argparse rejects, such as
-``--steps abc`` (it prints the usage); 3 out-of-domain argument, such as a
-``--log`` that names the ``--out`` file, or an ``--out`` or ``--log`` that
-names the input config; 1 anything else, such as an output
-file that cannot be written (``simulate`` opens ``--out`` and ``--log`` before
-any run, and leaves no ``--out`` it made when ``--log`` fails) or a request
-too large for memory, such as ``sweep --steps 1000000000000000``.
+reals are formatted with six decimals.  The error's class sets the exit
+code, and ``main`` prints it as one ``error:`` line: 0 success; 2
+``ConfigError``, a config file missing, unreadable, not UTF-8 JSON or
+invalid (the message names the field), or a command line that argparse
+rejects, such as ``--steps abc`` (it prints the usage); 3 ``DomainError``
+and its subclasses, an out-of-domain argument, such as a ``--log`` that
+names the ``--out`` file, or an ``--out`` or ``--log`` that names the input
+config; 1 anything else, such as an output file that cannot be written
+(``simulate`` opens ``--out`` and ``--log`` before any run, and leaves no
+``--out`` it made when ``--log`` fails) or a request too large for memory,
+such as ``sweep --steps 1000000000000000``, or a ``--steps`` above
+``MAX_STEPS``, which numpy cannot address.
 A call runs with the cyclic garbage collector paused: all it allocates but
 argparse's parser is acyclic, so collections would only rescan numpy's
 import-time objects.
@@ -36,14 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ahp
-from .errors import (
-    ConfigError,
-    DomainError,
-    StructureError,
-    TemporalOrderError,
-    UnsupportedDimensionError,
-    VoinetError,
-)
+from .errors import ConfigError, DomainError, VoinetError
 from .config import load_scenario, load_voi_config
 from .model import VoiConfig, assess_gammas
 from .sim import TransmissionLogWriter, run
@@ -53,7 +49,9 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
-_DOMAIN_ERRORS = (DomainError, StructureError, UnsupportedDimensionError, TemporalOrderError)
+#: The most gammas numpy can lay out: ``linspace`` sizes its float64 array
+#: from the count rounded to a float, and the array's bytes must fit in intp.
+MAX_STEPS = int(np.nextafter((np.iinfo(np.intp).max + 1) / 8, 0))
 
 
 class SweepRow(NamedTuple):
@@ -72,9 +70,15 @@ def gamma_sweep(
     steps: int = 1000,
     spacing: str = "linear",
 ) -> list[SweepRow]:
-    """Assess the config at ``steps`` evenly spaced gammas, endpoints included."""
+    """Assess the config at ``steps`` evenly spaced gammas, endpoints included.
+
+    More than ``MAX_STEPS`` gammas raise ``MemoryError`` before any array
+    is made.
+    """
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise MemoryError(f"steps = {steps} exceeds {MAX_STEPS}, the most gammas numpy can hold")
     if not (ahp.SAATY_MIN <= gamma_min <= gamma_max <= ahp.SAATY_MAX):
         raise DomainError(
             f"sweep range [{gamma_min}, {gamma_max}] must lie within [1/9, 9]"
@@ -211,7 +215,7 @@ def _cmd_simulate(args) -> int:
                 str(metrics.dropped_count),
                 str(metrics.residual_count),
             ]
-            cells += [str(metrics.delivered_count.get(s, 0)) for s in sources]
+            cells += [str(metrics.delivered_count[s]) for s in sources]
             cells += [
                 f"{metrics.delivered_value:.6f}",
                 f"{metrics.mean_age_at_delivery_ms:.6f}",
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (VoinetError, OSError) as exc:

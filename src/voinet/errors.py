@@ -1,24 +1,24 @@
-"""Exception types shared by all voinet modules."""
+"""Exception types shared by all voinet modules; each class sets its CLI exit code."""
 
 
 class VoinetError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class StructureError(VoinetError):
-    """A matrix or weight array has the wrong shape or mismatched dimensions."""
+    """Base class for all errors raised by this package; exit 1 unless a subclass sets another."""
 
 
 class DomainError(VoinetError):
-    """A value lies outside its permitted range (Saaty bounds, row sums, ...)."""
+    """A value lies outside its permitted range (Saaty bounds, row sums, ...); exit 3."""
 
 
-class UnsupportedDimensionError(VoinetError):
-    """Matrix dimension falls outside the random-index table (n must be 2..10)."""
+class StructureError(DomainError):
+    """A matrix or weight array has the wrong shape or mismatched dimensions; exit 3."""
+
+
+class UnsupportedDimensionError(DomainError):
+    """Matrix dimension falls outside the random-index table (n must be 2..10); exit 3."""
 
 
 class ConvergenceError(VoinetError):
-    """Power iteration failed to converge within the iteration budget.
+    """Power iteration failed to converge within the iteration budget; exit 1.
 
     Carries the last iterate and its max-norm residual for diagnosis.
     """
@@ -30,12 +30,12 @@ class ConvergenceError(VoinetError):
         self.iterations = iterations
 
 
-class TemporalOrderError(VoinetError):
-    """A message is evaluated at a time earlier than its generation timestamp."""
+class TemporalOrderError(DomainError):
+    """A message is evaluated at a time earlier than its generation timestamp; exit 3."""
 
 
 class ConfigError(VoinetError):
-    """A config document is missing, unparseable, or has an invalid field.
+    """A config document is missing, unparseable, or has an invalid field; exit 2.
 
     ``field`` names the offending entry (dotted path into the document);
     ``reason`` says what is wrong with it.

@@ -162,7 +162,7 @@ def _check_matrix(matrix: np.ndarray, field: str) -> None:
     """Raise ``ConfigError(field)`` unless ``matrix`` is a valid comparison matrix."""
     try:
         result = ahp.validate(matrix)
-    except DomainError as exc:  # a non-positive or non-finite entry
+    except DomainError as exc:  # a bad entry, or a StructureError for a bad shape
         raise ConfigError(field, str(exc))
     if not result.ok:
         raise ConfigError(field, result.violations[0].message)

@@ -338,23 +338,14 @@ def generate(
     return [_message(config, slot, index, base_scores) for index in due]
 
 
-def _score(message: Message, now_ms: float, config: ScenarioConfig) -> float:
-    return effective_voi(
-        message.base_voi,
-        message.meta,
-        now_ms,
-        config.receiver_position,
-        config.voi_config.decay,
-    )
-
-
 def schedule(queue: list[Message], now_ms: float, config: ScenarioConfig) -> list[Message]:
     """Queue ordered by effective value, descending.
 
     Ties break on earlier generation time, then smaller id, giving a total
     deterministic order.
     """
-    scored = [(_score(m, now_ms, config), m) for m in queue]
+    receiver, profile = config.receiver_position, config.voi_config.decay
+    scored = [(effective_voi(m.base_voi, m.meta, now_ms, receiver, profile), m) for m in queue]
     scored.sort(key=lambda pair: (-pair[0], pair[1].meta.generated_at_ms, pair[1].id))
     return [m for _, m in scored]
 

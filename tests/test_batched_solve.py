@@ -7,6 +7,8 @@ written) gives it.  The sweep's consistency ratios are checked against
 Saaty's closed form for 3x3 matrices.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,14 @@ def test_batched_assessment_checks_the_fixed_cells(safety):
     safety.attribute_matrix[2, 0] = 0.5  # no longer the reciprocal of 3
     with pytest.raises(ConfigError) as excinfo:
         assess_gammas(safety, [1.0, 3.0])
+    assert excinfo.value.field == "attribute_matrix"
+
+
+def test_unvalidated_non_square_template_is_a_config_error(safety):
+    # A StructureError is a DomainError, so _check_matrix names the field.
+    bad = dataclasses.replace(safety, attribute_matrix=np.ones((3, 4)))
+    with pytest.raises(ConfigError, match="must be square") as excinfo:
+        instantiate_matrices(bad, [1.0])
     assert excinfo.value.field == "attribute_matrix"
 
 

@@ -1,21 +1,33 @@
 """Command-line surface: subcommands, CSV outputs, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import gc
 import io
 import json
+import math
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voinet import cli
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
 from voinet.config import load_voi_config
-from voinet.errors import DomainError
+from voinet.errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    StructureError,
+    TemporalOrderError,
+    UnsupportedDimensionError,
+    VoinetError,
+)
 from voinet.model import SourceKind
 
 
@@ -57,6 +69,15 @@ def test_gamma_sweep_rejects_bad_arguments(safety):
         gamma_sweep(safety, gamma_max=9.5)
     with pytest.raises(DomainError):
         gamma_sweep(safety, spacing="cubic")
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_gamma_sweep_bounds_steps_by_what_numpy_can_hold(safety, spacing):
+    with pytest.raises(MemoryError, match="exceeds"):
+        gamma_sweep(safety, steps=cli.MAX_STEPS + 1, spacing=spacing)
+    # At the bound numpy sizes the array, and only the allocation fails.
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        gamma_sweep(safety, steps=cli.MAX_STEPS, spacing=spacing)
 
 
 def fabricated_rows(flags):
@@ -390,20 +411,90 @@ def test_command_line_usage_error_exits_2_without_traceback(safety_path, tmp_pat
     assert "Traceback" not in result.stderr
 
 
-def test_allocation_failure_exits_1_without_traceback(safety_path, tmp_path):
+@pytest.mark.parametrize("steps", [10**15, 2**60, 2**63 - 1, 2**63, 10**19])
+def test_allocation_failure_exits_1_without_traceback(safety_path, tmp_path, steps):
     # 10**15 gammas ask for 7 PiB, beyond any 47-bit address space: the
-    # allocation fails at once, before anything is written.
+    # allocation fails at once, before anything is written.  From 2**60 on
+    # numpy cannot size the array and raises ValueError or IndexError, so
+    # gamma_sweep refuses the count before calling it.
     out = tmp_path / "out.csv"
     result = subprocess.run(
         [sys.executable, "-m", "voinet", "sweep", "--config", safety_path,
-         "--steps", "1000000000000000", "--out", str(out)],
+         "--steps", str(steps), "--out", str(out)],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
+    assert result.stderr.startswith("error: out of memory: ")
+    assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("error", "code"),
+    [
+        (DomainError, 3),
+        (StructureError, 3),
+        (UnsupportedDimensionError, 3),
+        (TemporalOrderError, 3),
+        (ConfigError, 2),
+        (ConvergenceError, 1),
+        (VoinetError, 1),
+        (OSError, 1),
+        (MemoryError, 1),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, safety_path, error, code):
+    def load(path):
+        raise error("field", "reason") if error is ConfigError else error("reason")
+
+    monkeypatch.setattr(cli, "load_voi_config", load)
+    assert main(["check", "--config", safety_path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Gammas from every float, with the edges of the Saaty scale and its
+# neighbours, and counts that either allocate little or fail at once: a
+# count from 65 to 2**48 - 1 could allocate gigabytes before failing.
+_EDGE_GAMMAS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    *(x for g in (1 / 9, 9.0) for x in (math.nextafter(g, 0), g, math.nextafter(g, 10))),
+]
+_GAMMAS = st.one_of(st.sampled_from(_EDGE_GAMMAS), st.floats(1 / 9, 9), st.floats())
+_STEPS = st.integers(-3, 64) | st.integers(min_value=2**48)
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(sweep=st.booleans(), a=_GAMMAS, b=_GAMMAS, steps=_STEPS, log_space=st.booleans())
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(
+    configs_dir, sweep, a, b, steps, log_space
+):
+    # Every value goes in --opt=value form, or argparse reads -inf as a flag.
+    config = f"--config={configs_dir / 'safety.json'}"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        if sweep:
+            argv = ["sweep", config, f"--gamma-min={a!r}", f"--gamma-max={b!r}",
+                    f"--steps={steps!r}", f"--out={out}"] + ["--log-space"] * log_space
+        else:
+            argv = ["check", config, f"--gamma={a!r}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 3)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+            if sweep:
+                assert out.read_text(encoding="utf-8").count("\n") == steps + 1
 
 
 # --- garbage collector --------------------------------------------------------
