@@ -131,17 +131,7 @@ def validate_config(config: VoiConfig) -> None:
         raise ConfigError("attributes", "attributes must be distinct")
     if len(set(config.sources)) != n_src:
         raise ConfigError("sources", "sources must be distinct")
-    if config.attribute_matrix.shape != (n_attr, n_attr):
-        raise ConfigError(
-            "attribute_matrix",
-            f"expected shape {(n_attr, n_attr)}, got {config.attribute_matrix.shape}",
-        )
-    if config.gamma_slot is not None:
-        i, j = config.gamma_slot
-        if not (0 <= i < n_attr and 0 <= j < n_attr and i < j):
-            raise ConfigError("gamma_slot", f"({i},{j}) is not an above-diagonal cell")
-    # Probe at gamma=1 checks every fixed cell of the template.
-    _check_matrix(_substitute(config, 1.0), "attribute_matrix")
+    _template(config)
     for attribute in config.attributes:
         where = f"conditional_matrices.{attribute.value}"
         if attribute not in config.conditional_matrices:
@@ -168,12 +158,19 @@ def _check_matrix(matrix: np.ndarray, field: str) -> None:
         raise ConfigError(field, result.violations[0].message)
 
 
-def _substitute(config: VoiConfig, gamma: float) -> np.ndarray:
+def _template(config: VoiConfig) -> np.ndarray:
+    """The attribute matrix at gamma = 1; ``ConfigError`` unless shape, slot and cells pass."""
+    n = len(config.attributes)
     m = config.attribute_matrix.copy()
+    if m.shape != (n, n):
+        expected = f"expected shape {(n, n)}, one row per attribute"
+        raise ConfigError("attribute_matrix", f"must be square: {expected}, got {m.shape}")
     if config.gamma_slot is not None:
         i, j = config.gamma_slot
-        m[i, j] = gamma
-        m[j, i] = 1.0 / gamma
+        if not (0 <= i < j < n):
+            raise ConfigError("gamma_slot", f"({i},{j}) is not an above-diagonal cell")
+        m[i, j] = m[j, i] = 1.0
+    _check_matrix(m, "attribute_matrix")
     return m
 
 
@@ -181,18 +178,18 @@ def instantiate_matrices(config: VoiConfig, gammas) -> np.ndarray:
     """Attribute matrices, one per gamma, stacked ``(G, A, A)``: gamma fills the slot.
 
     Checks what validating each matrix would: ``DomainError`` for a gamma
-    outside the Saaty bounds, ``ConfigError`` for an invalid matrix.  The
-    fixed cells are checked once.  An in-bounds gamma's cells need no check:
-    rounding is monotone and ``fl(1/9) == SAATY_MIN``, so ``fl(1/gamma)`` is
-    in bounds too, and its product with gamma is 1 to within 2.3e-16.
+    outside the Saaty bounds, ``ConfigError`` for a template of the wrong
+    shape, a slot off its upper triangle or an invalid cell, also on a
+    config ``validate_config`` never saw.  The fixed cells are checked once.
+    An in-bounds gamma's cells need no check: rounding is monotone and
+    ``fl(1/9) == SAATY_MIN``, so ``fl(1/gamma)`` is in bounds too, and its
+    product with gamma is 1 to within 2.3e-16.
     """
     gammas = np.asarray(gammas, dtype=float)
     outside = ~((ahp.SAATY_MIN <= gammas) & (gammas <= ahp.SAATY_MAX))
     if outside.any():
         raise DomainError(f"gamma = {gammas[outside][0]} outside Saaty bounds [1/9, 9]")
-    fixed = _substitute(config, 1.0)
-    _check_matrix(fixed, "attribute_matrix")
-    matrices = np.repeat(fixed[None], gammas.size, axis=0)
+    matrices = np.repeat(_template(config)[None], gammas.size, axis=0)
     if config.gamma_slot is not None:
         i, j = config.gamma_slot
         matrices[:, i, j] = gammas
@@ -310,37 +307,3 @@ def effective_voi(
         )
     space = space_factor(meta.origin_position, receiver_position, profile)
     return decayed_voi(base, age, space, meta.quality, profile.time_half_life_ms)
-
-
-def safety_config() -> VoiConfig:
-    """Default safety-application profile.
-
-    Attributes: time dependency, space dependency, information quality,
-    with time moderately more important than quality (score 3) and the
-    space-vs-quality score left as the gamma slot.  Sources: surrounding
-    vs position information; quality strongly favors surrounding (score 5),
-    time moderately favors position (score 3), space is neutral.
-    """
-    return VoiConfig(
-        application=ApplicationKind.SAFETY,
-        attributes=(
-            Attribute.TIME_DEPENDENCY,
-            Attribute.SPACE_DEPENDENCY,
-            Attribute.INFORMATION_QUALITY,
-        ),
-        sources=(SourceKind.SURROUNDING, SourceKind.POSITION),
-        attribute_matrix=np.array(
-            [
-                [1.0, 1.0, 3.0],
-                [1.0, 1.0, 1.0],  # (1,2) is the gamma slot
-                [1.0 / 3.0, 1.0, 1.0],
-            ]
-        ),
-        gamma_slot=(1, 2),
-        conditional_matrices={
-            Attribute.TIME_DEPENDENCY: np.array([[1.0, 1.0 / 3.0], [3.0, 1.0]]),
-            Attribute.SPACE_DEPENDENCY: np.array([[1.0, 1.0], [1.0, 1.0]]),
-            Attribute.INFORMATION_QUALITY: np.array([[1.0, 5.0], [1.0 / 5.0, 1.0]]),
-        },
-        decay=DecayProfile(time_half_life_ms=500.0, space_radius_m=300.0),
-    )

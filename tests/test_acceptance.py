@@ -21,7 +21,6 @@ from voinet.model import (
     SpaceShape,
     effective_voi,
     instantiate_matrix,
-    safety_config,
 )
 from voinet.sim import (
     GeneratorSpec,
@@ -32,6 +31,7 @@ from voinet.sim import (
     write_transmission_log,
 )
 
+from conftest import safety_config
 from oracles import dense_principal, precedence_sort, random_consistent, random_reciprocal
 
 

@@ -204,12 +204,23 @@ def test_batched_assessment_checks_the_fixed_cells(safety):
     assert excinfo.value.field == "attribute_matrix"
 
 
-def test_unvalidated_non_square_template_is_a_config_error(safety):
-    # A StructureError is a DomainError, so _check_matrix names the field.
-    bad = dataclasses.replace(safety, attribute_matrix=np.ones((3, 4)))
-    with pytest.raises(ConfigError, match="must be square") as excinfo:
+@pytest.mark.parametrize(
+    "change, field, message",
+    [
+        ({"attribute_matrix": np.ones((3, 4))}, "attribute_matrix", "must be square"),
+        ({"attribute_matrix": np.ones((2, 3))}, "attribute_matrix", "must be square"),
+        ({"attribute_matrix": np.ones((2, 2))}, "attribute_matrix", "must be square"),
+        ({"gamma_slot": (0, 5)}, "gamma_slot", "not an above-diagonal cell"),
+    ],
+    ids=["3x4", "2x3", "2x2", "slot-0-5"],
+)
+def test_unvalidated_non_square_template_is_a_config_error(safety, change, field, message):
+    # validate_config never saw it, so instantiate_matrices checks the template
+    # itself: shape and slot before it writes gamma, never an IndexError.
+    bad = dataclasses.replace(safety, **change)
+    with pytest.raises(ConfigError, match=message) as excinfo:
         instantiate_matrices(bad, [1.0])
-    assert excinfo.value.field == "attribute_matrix"
+    assert excinfo.value.field == field
 
 
 # --- Saaty's closed form ----------------------------------------------------

@@ -20,12 +20,11 @@ from voinet.model import (
     assess,
     effective_voi,
     instantiate_matrix,
-    safety_config,
     source_scores,
     validate_config,
 )
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, safety_config
 from oracles import decayed_value
 
 
@@ -313,24 +312,6 @@ def test_effective_voi_monotone_in_distance(d_a, d_b):
 
 
 # --- config files ---------------------------------------------------------
-
-
-def assert_configs_equal(a, b):
-    assert a.application == b.application
-    assert a.attributes == b.attributes
-    assert a.sources == b.sources
-    assert np.array_equal(a.attribute_matrix, b.attribute_matrix)
-    assert a.gamma_slot == b.gamma_slot
-    assert set(a.conditional_matrices) == set(b.conditional_matrices)
-    for key, m in a.conditional_matrices.items():
-        assert np.array_equal(np.asarray(m, dtype=float), b.conditional_matrices[key])
-    assert a.decay == b.decay
-    assert a.cr_threshold == b.cr_threshold
-
-
-def test_bundled_config_matches_programmatic(configs_dir, safety):
-    loaded = load_voi_config(configs_dir / "safety.json")
-    assert_configs_equal(loaded, safety)
 
 
 def test_load_missing_file_names_path(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from voinet import sim
 from voinet.config import load_scenario
 from voinet.errors import ConfigError, DomainError
-from voinet.model import Metadata, SourceKind, effective_voi, safety_config, source_scores
+from voinet.model import Metadata, SourceKind, effective_voi, source_scores
 from voinet.sim import (
     GeneratorSpec,
     Message,
@@ -23,6 +23,7 @@ from voinet.sim import (
     write_transmission_log,
 )
 
+from conftest import safety_config
 from oracles import precedence_sort
 
 

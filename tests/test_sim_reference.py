@@ -17,14 +17,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from voinet import sim
 from voinet.config import load_scenario
 from voinet.errors import DomainError
-from voinet.model import DecayProfile, SourceKind, SpaceShape, effective_voi, safety_config
+from voinet.model import DecayProfile, SourceKind, SpaceShape, effective_voi
 from voinet.sim import GeneratorSpec, ScenarioConfig, initial_state, run, step
 
+from conftest import safety_config
 from oracles import reference_initial_state, reference_run, reference_step
 from test_acceptance import random_scenario
 
 POLICIES = ("voi", "fifo")
-HALF_LIFE_MS = 500.0  # of safety_config()
+HALF_LIFE_MS = 500.0  # of configs/safety.json
 
 
 def gen(source=SourceKind.SURROUNDING, period=1, size=1000, quality=0.9, position=(50.0, 0.0)):
@@ -247,7 +248,7 @@ def test_fleet_scale_matches_reference(seed, slot_ms):
 
 # --- differential fuzz --------------------------------------------------------
 
-RADIUS_M = 300.0  # of safety_config()
+RADIUS_M = 300.0  # of configs/safety.json
 # On, beside and beyond the radius, and the receiver's own position.
 POSITIONS = st.sampled_from(
     [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (math.nextafter(RADIUS_M, 0.0), 0.0),
