@@ -165,11 +165,12 @@ def _template(config: VoiConfig) -> np.ndarray:
     if m.shape != (n, n):
         expected = f"expected shape {(n, n)}, one row per attribute"
         raise ConfigError("attribute_matrix", f"must be square: {expected}, got {m.shape}")
-    if config.gamma_slot is not None:
-        i, j = config.gamma_slot
-        if not (0 <= i < j < n):
-            raise ConfigError("gamma_slot", f"({i},{j}) is not an above-diagonal cell")
-        m[i, j] = m[j, i] = 1.0
+    slot = config.gamma_slot
+    if slot is not None:
+        if not (isinstance(slot, tuple) and len(slot) == 2
+                and all(isinstance(x, int) for x in slot) and 0 <= slot[0] < slot[1] < n):
+            raise ConfigError("gamma_slot", f"{slot!r} is not an above-diagonal cell")
+        m[slot] = m[slot[::-1]] = 1.0
     _check_matrix(m, "attribute_matrix")
     return m
 

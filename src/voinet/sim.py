@@ -25,17 +25,17 @@ value, space factor, quality and size, so within a lane
 A slot therefore visits two kinds of lane.  A lane that this slot's
 arrival makes non-empty is keyed on arrival, on its one fresh message.  A
 lane carried from the last slot has its zero-valued prefix dropped and its
-next message keyed.  The slot merges the keys through a heap on the
-policy's order, skips a lane whose next message does not fit, and stops
-once no live generator's size fits.  When it ends, every non-empty lane
-was either skipped or still has its key in the heap, so those lanes are
-the next slot's carried list, each once; a lane emptied by sends or drops
-is not visited again until an arrival refills it.  The heap holds one key
-per lane and each key names its generator, so no two keys are equal and
-the heap pops them in one order whatever order they entered it.  That
-sends, keeps and drops exactly what scoring and sorting the whole queue
-would, at a cost per slot that grows with the carried lanes, the arrivals
-and the messages sent, not with the queue length.
+next message keyed.  The slot sorts the keys into one worklist on the
+policy's order, takes them from the front (a lane that sends and still
+holds messages gets its next key inserted in order), skips a lane whose
+next message does not fit, and stops once no live generator's size fits.
+The skipped lanes and the leftover keys' lanes are then every non-empty
+lane, each once: the next slot's carried list.  Keys leave in increasing
+order, as from a heap: each names its generator, so none are equal, and an
+inserted key sorts after the one just taken (an equal-rank run's next key
+has a later slot, the key after a run a lower value, so a larger rank).
+That sends, keeps and drops exactly what sorting the whole queue would, at
+a cost per slot that grows with the lanes visited, not the queue length.
 
 Both policies key a lane on ``(rank, slot, generator, index)``: the rank
 is ``-value`` for voi and ``0.0`` for fifo, then come the message's
@@ -76,10 +76,9 @@ produce bit-identical metrics and transmission logs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from . import ahp
@@ -188,7 +187,7 @@ class SimState:
     for no log).  Private: the per-run generator constants and the lanes.
     ``_slots[k]`` holds the generation slots of generator ``k``'s queued
     messages, oldest first; ``_carried`` lists the lanes that were non-empty
-    when the last slot ended, each once: the next slot's worklist.
+    when the last slot ended, each once: the lanes the next slot re-keys.
     ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
     whose fresh value is 0 never queues a message), ``_delivered[k]`` its
     count of sent messages.  ``_smallest_size`` is the smallest size of a
@@ -384,7 +383,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     for slot in range(state.slot, end):
         now_ms = slot * slot_ms
-        heap, skipped = [], []
+        keys, skipped = [], []
         for period, emitting, live in arrivals:
             if slot % period == 0:
                 generated += emitting
@@ -392,7 +391,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 for k in live:
                     lane = slots[k]
                     if not lane:  # a new lane: its one message is worth fresh[k]
-                        heap.append((-fresh[k] if by_value else 0.0, slot, k, 0))
+                        keys.append((-fresh[k] if by_value else 0.0, slot, k, 0))
                     lane.append(slot)
 
         # Before the bound no value can have decayed to 0, and a message of
@@ -404,12 +403,12 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 lane.popleft()
                 dropped += 1
             if lane:
-                heap.append(best(k) if by_value else (0.0, lane[0], k, 0))
-        heapify(heap)
+                keys.append(best(k) if by_value else (0.0, lane[0], k, 0))
+        keys.sort()
 
         remaining = budget
-        while heap and remaining >= smallest_size:  # below it, no queued message fits
-            rank, s, k, i = heappop(heap)
+        while keys and remaining >= smallest_size:  # below it, no queued message fits
+            rank, s, k, i = keys.pop(0)
             size = sizes[k]
             if size > remaining:
                 skipped.append(k)  # the rest of the lane has this size too: none of it fits
@@ -418,9 +417,9 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             lane = slots[k]
             del lane[i]
             if i < len(lane):  # the equal-rank run goes on, oldest first (all of a fifo lane)
-                heappush(heap, (rank, lane[i], k, i))
+                insort(keys, (rank, lane[i], k, i))
             elif lane:
-                heappush(heap, best(k))
+                insort(keys, best(k))
             v = -rank if by_value else (fresh[k] if s == slot else value(k, s))
             counts[k] += 1
             delivered_value += v
@@ -431,8 +430,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             if write_row is not None:
                 write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
-        # Every non-empty lane was skipped or still has its key in the heap.
-        carried = skipped + [key[2] for key in heap]
+        # Every non-empty lane was skipped or still has its key in the worklist.
+        carried = skipped + [key[2] for key in keys]
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms

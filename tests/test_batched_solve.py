@@ -211,12 +211,16 @@ def test_batched_assessment_checks_the_fixed_cells(safety):
         ({"attribute_matrix": np.ones((2, 3))}, "attribute_matrix", "must be square"),
         ({"attribute_matrix": np.ones((2, 2))}, "attribute_matrix", "must be square"),
         ({"gamma_slot": (0, 5)}, "gamma_slot", "not an above-diagonal cell"),
+        ({"gamma_slot": (0, 1.0)}, "gamma_slot", "not an above-diagonal cell"),
+        ({"gamma_slot": (0, 1, 2)}, "gamma_slot", "not an above-diagonal cell"),
+        ({"gamma_slot": 5}, "gamma_slot", "not an above-diagonal cell"),
     ],
-    ids=["3x4", "2x3", "2x2", "slot-0-5"],
+    ids=["3x4", "2x3", "2x2", "slot-0-5", "slot-float", "slot-triple", "slot-int"],
 )
 def test_unvalidated_non_square_template_is_a_config_error(safety, change, field, message):
     # validate_config never saw it, so instantiate_matrices checks the template
-    # itself: shape and slot before it writes gamma, never an IndexError.
+    # itself: shape and slot before it writes gamma, never an IndexError,
+    # ValueError or TypeError.  The slot must be a pair of ints.
     bad = dataclasses.replace(safety, **change)
     with pytest.raises(ConfigError, match=message) as excinfo:
         instantiate_matrices(bad, [1.0])

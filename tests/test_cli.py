@@ -535,7 +535,7 @@ def test_cyclic_garbage_of_a_call_does_not_grow_with_its_work(
     capsys, tmp_path, safety_path, overload_path
 ):
     # main pauses the cyclic collector because what a call leaves for it is
-    # argparse's parser graph alone; rows, lanes, heap keys and log rows are
+    # argparse's parser graph alone; rows, lanes, sort keys and log rows are
     # freed by reference counting, whatever the size of the work.
     def cyclic_garbage_left_by(argv):
         gc.collect()

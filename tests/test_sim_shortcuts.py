@@ -5,15 +5,14 @@ log rows formatted without the csv module.
 Before ``SimState._no_drop_before_ms`` a step evaluates no decay to look for
 drops; the bound must lie below the first age at which any value can reach
 0.  Once the budget left is below ``SimState._smallest_size`` a step pops no
-more heap entries.  ``SimState._carried``, the next slot's worklist, must
-name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
+more keys from its sorted worklist.  ``SimState._carried``, the lanes the
+next slot starts from, must name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
 writes each row with one ``fh.write``; its bytes must equal what
 ``csv.writer`` writes for the same rows.
 """
 
 import csv
 import dataclasses
-import heapq
 import io
 import math
 import struct
@@ -140,7 +139,23 @@ class SizeRecorder:
         self.events.append(size_bits)
 
 
-def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
+class SizeReads(list):
+    """Generator sizes that record each read into ``events`` as ``None``.
+
+    The send loop reads ``sizes[k]`` once for every key it pops from the
+    worklist, and nowhere else, so a read marks a pop.
+    """
+
+    def __init__(self, sizes, events):
+        super().__init__(sizes)
+        self.events = events
+
+    def __getitem__(self, k):
+        self.events.append(None)
+        return super().__getitem__(k)
+
+
+def test_no_pop_once_the_budget_fits_no_message():
     # Pops and sends in the order they happen: a pop is None, a send its size.
     config = fleet(0)
     radius = config.voi_config.decay.space_radius_m
@@ -152,15 +167,10 @@ def test_no_pop_once_the_budget_fits_no_message(monkeypatch):
         GeneratorSpec(source, 1, 1, 0.0, (0.0, 0.0)),
     ]
     events = []
-
-    def counted(heap):
-        events.append(None)
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(sim, "heappop", counted)
     for policy in ("voi", "fifo"):
         state = initial_state(config)
         assert state._smallest_size == smallest
+        state._sizes = SizeReads(state._sizes, events)
         state.log = SizeRecorder(events)
         pops = exhausted = 0
         for _ in range(config.duration_slots):
