@@ -87,10 +87,10 @@ class DecayProfile:
     space_shape: SpaceShape = SpaceShape.NEAR_PREFERRED
 
     def __post_init__(self):
-        if self.time_half_life_ms <= 0:
-            raise DomainError(f"time_half_life_ms must be positive, got {self.time_half_life_ms}")
-        if self.space_radius_m <= 0:
-            raise DomainError(f"space_radius_m must be positive, got {self.space_radius_m}")
+        for name in ("time_half_life_ms", "space_radius_m"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also false for NaN
+                raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

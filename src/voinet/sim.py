@@ -48,16 +48,16 @@ first.  The generation time and id are computed only for a message that is
 sent.  Decay is evaluated only where the order needs it.  A message of the
 current slot is worth its generator's fresh value (``validate_scenario``
 keeps every ``slot * slot_ms`` finite, so its age is exactly 0), and a
-lane whose oldest message is that fresh one needs no drop check.  After a
-send, an equal-rank run's next message is the lane's next, keyed on the
-same rank with no evaluation.  A fifo lane is one such run from index 0, so
+lane's drop check stops at it, as that value is positive.  After a send,
+an equal-rank run's next message is the lane's next, keyed on the same
+rank with no evaluation.  A fifo lane is one such run from index 0, so
 fifo evaluates decay only for the drop check at a lane's old end and for
 the messages it sends.  Deliveries are counted per generator, and the
 metrics sum them per source at the end of the run.
 
 A positive value reaches 0 only by float underflow, after about a
-thousand half-lives, so a slot that starts before ``_no_drop_before_ms``
-of the smallest live value, computed once per run, makes no drop check.
+thousand half-lives, so a slot before ``_first_drop_slot``, the first at
+which a live generator's slot-0 message would be worth 0, checks no drops.
 
 A run's state is one ``SimState``, whose private attributes hold the
 per-run generator constants and the lanes.  A run is one loop over its
@@ -191,7 +191,7 @@ class SimState:
     ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
     whose fresh value is 0 never queues a message), ``_delivered[k]`` its
     count of sent messages.  ``_smallest_size`` is the smallest size of a
-    live generator's messages; before ``_no_drop_before_ms`` no queued
+    live generator's messages; before slot ``_first_drop_slot`` no queued
     message can have decayed to 0.
     """
 
@@ -210,17 +210,20 @@ class SimState:
         ]
         self._qualities = [gen.quality for gen in generators]
         half_life_ms = profile.time_half_life_ms
-        self._fresh = fresh = [
-            decayed_voi(base, 0.0, space, quality, half_life_ms)
-            for base, space, quality in zip(self._bases, self._spaces, self._qualities)
-        ]
-        # The smallest partial product of the decay rule at age 0, over the live generators.
-        smallest = min(
-            (min(base, base * space, value)
-             for base, space, value in zip(self._bases, self._spaces, fresh) if value > 0.0),
-            default=1.0,
+        factors = list(zip(self._bases, self._spaces, self._qualities))
+        self._fresh = fresh = [decayed_voi(b, 0.0, s, q, half_life_ms) for b, s, q in factors]
+        live = [factor for factor, value in zip(factors, fresh) if value > 0.0]
+
+        def drops_by(t: int) -> bool:  # rises with t, as value does not rise with age
+            age_ms = t * config.slot_ms  # the age of a slot-0 message at slot t
+            return any(not decayed_voi(b, age_ms, s, q, half_life_ms) > 0.0 for b, s, q in live)
+
+        # The last slot first: a run that cannot drop pays one evaluation per live generator.
+        duration = config.duration_slots
+        self._first_drop_slot = (
+            bisect_left(range(duration), True, key=drops_by)
+            if duration and drops_by(duration - 1) else duration
         )
-        self._no_drop_before_ms = _no_drop_before_ms(smallest, half_life_ms)
         self._smallest_size = min((s for s, v in zip(sizes, fresh) if v > 0.0), default=1)
         # Per period: the generators that emit, the live ones (nonzero fresh value).
         self._arrivals = [
@@ -238,12 +241,15 @@ class SimState:
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
-    """Raise ``ConfigError`` naming the offending field for invalid scenarios."""
+    """Raise ``ConfigError`` naming the offending field for invalid scenarios.
+
+    An integral field must be an ``int`` (not a ``bool``), and a position finite.
+    """
     validate_config(config.voi_config)
     if not (ahp.SAATY_MIN <= config.gamma <= ahp.SAATY_MAX):
         raise ConfigError("gamma", f"{config.gamma} outside Saaty bounds [1/9, 9]")
-    if config.duration_slots < 0:
-        raise ConfigError("duration_slots", f"must be >= 0, got {config.duration_slots}")
+    if type(config.duration_slots) is not int or config.duration_slots < 0:
+        raise _count_error("duration_slots", config.duration_slots, 0)
     if config.slot_ms <= 0:
         raise ConfigError("slot_ms", f"must be positive, got {config.slot_ms}")
     try:
@@ -252,23 +258,30 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("duration_slots", "beyond float range") from None
     if not math.isfinite(end_ms):
         raise ConfigError("slot_ms", f"duration_slots * slot_ms must be finite, got {end_ms}")
-    if config.channel_bits_per_slot <= 0:
-        raise ConfigError(
-            "channel_bits_per_slot", f"must be positive, got {config.channel_bits_per_slot}"
-        )
+    if type(config.channel_bits_per_slot) is not int or config.channel_bits_per_slot < 1:
+        raise _count_error("channel_bits_per_slot", config.channel_bits_per_slot, 1)
+    if not all(map(math.isfinite, config.receiver_position)):
+        raise ConfigError("receiver_position", f"must be finite, got {config.receiver_position}")
     for k, gen in enumerate(config.generators):
         where = f"generators[{k}]"
-        if gen.period_slots < 1:
-            raise ConfigError(f"{where}.period_slots", f"must be >= 1, got {gen.period_slots}")
-        if gen.size_bits <= 0:
-            raise ConfigError(f"{where}.size_bits", f"must be positive, got {gen.size_bits}")
+        if type(gen.period_slots) is not int or gen.period_slots < 1:
+            raise _count_error(f"{where}.period_slots", gen.period_slots, 1)
+        if type(gen.size_bits) is not int or gen.size_bits < 1:
+            raise _count_error(f"{where}.size_bits", gen.size_bits, 1)
         if not (0.0 <= gen.quality <= 1.0):
             raise ConfigError(f"{where}.quality", f"must be in [0, 1], got {gen.quality}")
+        x, y = gen.position
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"{where}.position", f"must be finite, got {gen.position}")
         if gen.source not in config.voi_config.sources:
             raise ConfigError(
                 f"{where}.source",
                 f"{gen.source.value!r} is not among the assessed sources",
             )
+
+
+def _count_error(field: str, value, minimum: int) -> ConfigError:
+    return ConfigError(field, f"must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_policy(policy: str) -> None:
@@ -282,24 +295,6 @@ def _period_groups(generators: list[GeneratorSpec]) -> list[tuple[int, list[int]
     for index, gen in enumerate(generators):
         groups.setdefault(gen.period_slots, []).append(index)
     return list(groups.items())
-
-
-def _no_drop_before_ms(smallest: float, half_life_ms: float) -> float:
-    """A time before which no queued message can have decayed to 0.
-
-    A message's value is ``((base * 2**(-age/half_life)) * space) * quality``.
-    Each partial product is its value at age 0 times the decay factor, and
-    at age 0 all of them are at least ``smallest`` >= 2**(e - 1), where
-    ``e`` is the binary exponent of ``smallest``.  Below ``half_life *
-    (999 + e)`` the decay factor exceeds 2**-(999 + e), so every exact
-    partial product exceeds 2**-1000.  The rounding of the division, the
-    power and the products moves them by a relative 1e-11 at most, which
-    leaves them normal, 74 binades above the smallest subnormal: none
-    rounds to 0.  A computed age ``now_ms - slot * slot_ms`` never exceeds
-    ``now_ms``, so a slot that starts before this time drops nothing by
-    decay.  For ``smallest`` below 2**-999 the time is <= 0.
-    """
-    return half_life_ms * (999 + math.frexp(smallest)[1])
 
 
 def _message(
@@ -362,7 +357,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     generators, config = len(slots), state.config
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
-    no_drop_before_ms, smallest_size = state._no_drop_before_ms, state._smallest_size
+    first_drop_slot, smallest_size = state._first_drop_slot, state._smallest_size
     by_value = policy == "voi"
     write_row = None if state.log is None else state.log.write_row
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
@@ -394,12 +389,12 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                         keys.append((-fresh[k] if by_value else 0.0, slot, k, 0))
                     lane.append(slot)
 
-        # Before the bound no value can have decayed to 0, and a message of
-        # this slot is worth fresh[k] > 0: no decay to evaluate for either.
-        check_drops = now_ms >= no_drop_before_ms
+        # Before the gate no value can have decayed to 0.  A message of this
+        # slot is worth fresh[k] > 0, so a lane's drops stop at it.
+        check_drops = slot >= first_drop_slot
         for k in carried:
             lane = slots[k]
-            while check_drops and lane and lane[0] != slot and not value(k, lane[0]) > 0.0:
+            while check_drops and lane and not value(k, lane[0]) > 0.0:
                 lane.popleft()
                 dropped += 1
             if lane:

@@ -1,6 +1,7 @@
 """Value model: taxonomy, configs, matrix instantiation, assessment, decay."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,10 +94,12 @@ def test_metadata_rejects_quality_outside_unit_interval():
 
 
 def test_decay_profile_rejects_non_positive_parameters():
-    with pytest.raises(DomainError):
-        DecayProfile(time_half_life_ms=0.0, space_radius_m=300.0)
-    with pytest.raises(DomainError):
-        DecayProfile(time_half_life_ms=500.0, space_radius_m=-1.0)
+    # NaN and infinity too: a NaN half-life or radius would value every message 0.
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            DecayProfile(time_half_life_ms=bad, space_radius_m=300.0)
+        with pytest.raises(DomainError):
+            DecayProfile(time_half_life_ms=500.0, space_radius_m=bad)
 
 
 # --- matrix instantiation -------------------------------------------------

@@ -1,6 +1,7 @@
 """Slotted dissemination simulator: generation, scheduling, transmission."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -421,6 +422,53 @@ def test_load_corrupt_scenario(tmp_path):
         (
             lambda c: c.generators.__setitem__(0, gen(source=SourceKind.TRAFFIC)),
             "generators[0].source",
+        ),
+        # NaN, infinities and non-integers, which the loader never passes on.
+        pytest.param(
+            lambda c: setattr(c, "duration_slots", 10.5), "duration_slots", id="duration-float"
+        ),
+        pytest.param(
+            lambda c: setattr(c, "duration_slots", True), "duration_slots", id="duration-bool"
+        ),
+        pytest.param(
+            lambda c: setattr(c, "channel_bits_per_slot", 2000.0),
+            "channel_bits_per_slot",
+            id="channel-float",
+        ),
+        pytest.param(
+            lambda c: setattr(c, "receiver_position", (math.inf, 0.0)),
+            "receiver_position",
+            id="receiver-inf",
+        ),
+        pytest.param(
+            lambda c: setattr(c, "receiver_position", (0.0, math.nan)),
+            "receiver_position",
+            id="receiver-nan",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(position=(math.nan, 0.0))),
+            "generators[0].position",
+            id="position-nan",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(position=(0.0, -math.inf))),
+            "generators[0].position",
+            id="position-inf",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(period=1.5)),
+            "generators[0].period_slots",
+            id="period-float",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(size=True)),
+            "generators[0].size_bits",
+            id="size-bool",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(quality=math.nan)),
+            "generators[0].quality",
+            id="quality-nan",
         ),
     ],
 )

@@ -57,9 +57,8 @@ def message_value(message, now_ms, config):
 
 
 def crosses_drop_bound(config):
-    """Whether the run's last slot starts where drop checks resume (``SimState``)."""
-    last_ms = (config.duration_slots - 1) * config.slot_ms
-    return initial_state(config)._no_drop_before_ms <= last_ms
+    """Whether the run reaches ``SimState._first_drop_slot``, where drop checks start."""
+    return initial_state(config)._first_drop_slot < config.duration_slots
 
 
 def assert_sends_in_key_order(config, policy, log):

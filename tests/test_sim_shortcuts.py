@@ -1,12 +1,13 @@
-"""The simulator's shortcuts: no drop check before the drop bound, no pop once
-nothing fits, a slot that visits only the lanes the last one left queued, and
-log rows formatted without the csv module.
+"""The simulator's shortcuts: no drop check before the first slot that can
+drop, no pop once nothing fits, a slot that visits only the lanes the last
+one left queued, and log rows formatted without the csv module.
 
-Before ``SimState._no_drop_before_ms`` a step evaluates no decay to look for
-drops; the bound must lie below the first age at which any value can reach
-0.  Once the budget left is below ``SimState._smallest_size`` a step pops no
-more keys from its sorted worklist.  ``SimState._carried``, the lanes the
-next slot starts from, must name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
+Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
+drops; that slot must be the first at which some live generator's slot-0
+message, the oldest a queue can hold, is worth 0.  Once the budget left is
+below ``SimState._smallest_size`` a step pops no more keys from its sorted
+worklist.  ``SimState._carried``, the lanes the next slot starts from, must
+name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
 writes each row with one ``fh.write``; its bytes must equal what
 ``csv.writer`` writes for the same rows.
 """
@@ -19,7 +20,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import sim
 from voinet.config import load_scenario
@@ -28,6 +29,7 @@ from voinet.model import (
     Attribute,
     DecayProfile,
     SourceKind,
+    SpaceShape,
     VoiConfig,
     decayed_voi,
 )
@@ -42,9 +44,17 @@ from voinet.sim import (
     write_transmission_log,
 )
 
-from test_sim_reference import fleet, oversized_scenario, underflow_scenario
+from oracles import reference_initial_state, reference_step
+from test_sim_reference import (
+    HALF_LIFE_MS,
+    fleet,
+    gen,
+    oversized_scenario,
+    scenario,
+    underflow_scenario,
+)
 
-# --- the drop bound -----------------------------------------------------------
+# --- the drop gate ------------------------------------------------------------
 
 SUBNORMAL_MIN = 5e-324
 FACTORS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.sampled_from(
@@ -79,38 +89,97 @@ def first_zero_age(base, space, quality, half_life_ms):
     return bits_float(hi)
 
 
+SOURCES = list(SourceKind)
+# (base, space, quality) per generator; a quality of 0 makes it dead.
+GENERATORS = st.lists(
+    st.tuples(FACTORS, FACTORS, FACTORS | st.just(0.0)),
+    min_size=1,
+    max_size=len(SOURCES),
+)
+
+
 @settings(
     max_examples=500, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(base=FACTORS, space=FACTORS, quality=FACTORS, half_life_ms=HALF_LIVES)
-def test_drop_bound_lies_below_the_first_zero_age(base, space, quality, half_life_ms):
-    fresh = decayed_voi(base, 0.0, space, quality, half_life_ms)
-    if not fresh > 0.0:
-        return  # a generator worth 0 on arrival is never queued
-    bound = sim._no_drop_before_ms(min(base, base * space, fresh), half_life_ms)
-    first_zero = first_zero_age(base, space, quality, half_life_ms)
-    assert bound < first_zero
-    if bound > 0.0:
-        for age in (math.nextafter(bound, 0.0), bound / 2, bound / 3):
-            assert decayed_voi(base, age, space, quality, half_life_ms) > 0.0
-    # And the bound is not idle: it gives up fewer than 80 half-lives (about
-    # 75, plus what rounding up in the subnormal range keeps alive).
-    assert first_zero - bound < 80 * half_life_ms
+@given(
+    generators=GENERATORS,
+    half_life_ms=HALF_LIVES | st.just(1e300),
+    slot_ms=st.floats(min_value=1e-6, max_value=1e9) | st.sampled_from([1.0, 500.0]),
+    duration=st.integers(0, 3000),
+)
+@example(generators=[(1.0, 1.0, SUBNORMAL_MIN)], half_life_ms=500.0, slot_ms=500.0, duration=9)
+@example(generators=[(1.0, 1.0, 1.0)], half_life_ms=1e300, slot_ms=1e9, duration=3000)
+@example(generators=[(1.0, 1.0, 1.0)], half_life_ms=1.0, slot_ms=1e9, duration=0)
+@example(generators=[(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], half_life_ms=1.0, slot_ms=1e9, duration=9)
+def test_first_drop_slot_is_the_first_slot_a_value_reaches_zero(
+    generators, half_life_ms, slot_ms, duration
+):
+    # Generator k is the only one of its source, so it takes base k; at
+    # distance space from the receiver, with a far-preferred radius of 1,
+    # its space factor is space.  The examples: a subnormal value (gate 1),
+    # a half-life of 1e300 (no decay, gate = duration), no slots, and every
+    # generator dead.
+    specs = [
+        gen(SOURCES[k], quality=quality, position=(space, 0.0))
+        for k, (_, space, quality) in enumerate(generators)
+    ]
+    decay = DecayProfile(half_life_ms, 1.0, SpaceShape.FAR_PREFERRED)
+    config = scenario(specs, duration=duration, slot_ms=slot_ms, decay=decay)
+    state = sim.SimState(config, {SOURCES[k]: base for k, (base, _, _) in enumerate(generators)})
+    factors = zip(state._bases, state._spaces, state._qualities, state._fresh)
+    live = [(base, space, quality) for base, space, quality, fresh in factors if fresh > 0.0]
+
+    def some_zero_at(t):
+        """Whether a live generator's slot-0 message is worth 0 at slot ``t``."""
+        return any(
+            not decayed_voi(base, t * slot_ms, space, quality, half_life_ms) > 0.0
+            for base, space, quality in live
+        )
+
+    first_zero = min((first_zero_age(*f, half_life_ms) for f in live), default=math.inf)
+    gate = state._first_drop_slot
+    assert 0 <= gate <= duration
+    if gate > 0:
+        assert not some_zero_at(gate - 1)
+        assert (gate - 1) * slot_ms < first_zero
+    if gate < duration:
+        assert some_zero_at(gate)
+        assert gate * slot_ms >= first_zero
+    if half_life_ms == 1e300 or not live:
+        assert gate == duration
 
 
-def test_subnormal_values_check_every_slot():
-    assert sim._no_drop_before_ms(SUBNORMAL_MIN, 500.0) <= 0.0
-    assert sim._no_drop_before_ms(2.0**-1000, 500.0) <= 0.0
-    assert sim._no_drop_before_ms(1.0, 500.0) == 1000 * 500.0
+def test_drops_start_at_the_first_drop_slot():
+    # Messages too large to send stay queued until they decay to 0, a
+    # hundred half-lives a slot.  The tiny-quality generator reaches 0 first,
+    # so the first drop is its slot-0 message at the gate; a gate one slot
+    # late, or one that waits for every generator, drops later than the
+    # sort-every-slot reference.
+    generators = [
+        gen(size=2000, quality=0.9),
+        gen(source=SourceKind.POSITION, size=2000, quality=1e-300, period=2),
+    ]
+    config = scenario(generators, duration=30, budget=1000, slot_ms=100 * HALF_LIFE_MS)
+    for policy in ("voi", "fifo"):
+        state, reference = initial_state(config), reference_initial_state(config)
+        assert state._first_drop_slot == 1
+        first_drop = None
+        for slot in range(config.duration_slots):
+            step(state, policy)
+            reference_step(reference, policy)
+            assert state.dropped == reference.dropped, (policy, slot)
+            if state.dropped and first_drop is None:
+                first_drop = slot
+        assert first_drop == state._first_drop_slot, policy
+        assert state.dropped > config.duration_slots, policy
 
 
 def test_no_drop_check_before_the_bound(configs_dir, monkeypatch):
     # fifo evaluates decay only for drop checks and for the sends of
-    # messages older than their slot; before the bound only the sends remain.
+    # messages older than their slot; before the gate only the sends remain.
     config = load_scenario(configs_dir / "overload_scenario.json")
     state = initial_state(config)
-    last_ms = (config.duration_slots - 1) * config.slot_ms
-    assert last_ms < state._no_drop_before_ms
+    assert state._first_drop_slot == config.duration_slots
     calls = []
 
     def counted(*args):
