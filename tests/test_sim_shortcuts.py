@@ -89,6 +89,50 @@ def first_zero_age(base, space, quality, half_life_ms):
     return bits_float(hi)
 
 
+def one_generator_state(base, space, quality, half_life_ms, slot_ms, duration):
+    """A ``SimState`` of one generator whose fresh value is ``base * space * quality``.
+
+    With a far-preferred radius of 1, a generator at distance ``space`` from
+    the receiver has space factor ``space``.
+    """
+    specs = [gen(quality=quality, position=(space, 0.0))]
+    decay = DecayProfile(half_life_ms, 1.0, SpaceShape.FAR_PREFERRED)
+    config = scenario(specs, duration=duration, slot_ms=slot_ms, decay=decay)
+    return sim.SimState(config, {SourceKind.SURROUNDING: base})
+
+
+@settings(
+    max_examples=500, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(base=FACTORS, space=FACTORS, quality=FACTORS, half_life_ms=HALF_LIVES)
+def test_drop_bound_lies_below_the_first_zero_age(base, space, quality, half_life_ms):
+    # Slots of a quarter half-life, and enough of them (2500 half-lives) for
+    # any value in (0, 1] to reach 0: the gate is the slot whose start is the
+    # first at or past the first zero age, so the slot before it starts below.
+    slot_ms = half_life_ms / 4
+    state = one_generator_state(base, space, quality, half_life_ms, slot_ms, 10_000)
+    (base,), (space,), (quality,) = state._bases, state._spaces, state._qualities
+    (fresh,) = state._fresh
+    if not fresh > 0.0:
+        assert state._first_drop_slot == 10_000  # worth 0 on arrival: never queued
+        return
+    first_zero = first_zero_age(base, space, quality, half_life_ms)
+    gate = state._first_drop_slot
+    assert 0 < gate < 10_000
+    assert (gate - 1) * slot_ms < first_zero <= gate * slot_ms
+    assert decayed_voi(base, (gate - 1) * slot_ms, space, quality, half_life_ms) > 0.0
+    assert decayed_voi(base, gate * slot_ms, space, quality, half_life_ms) == 0.0
+
+
+def test_subnormal_values_check_every_slot():
+    # A message worth the smallest subnormal reaches 0 after one half-life,
+    # and one worth 2**-1000 after a hundred: from slot 1 on, every slot
+    # checks for drops.  A value of 1 stays positive past 1000 half-lives.
+    assert one_generator_state(1.0, 1.0, SUBNORMAL_MIN, 500.0, 500.0, 9)._first_drop_slot == 1
+    assert one_generator_state(1.0, 1.0, 2.0**-1000, 500.0, 50_000.0, 9)._first_drop_slot == 1
+    assert one_generator_state(1.0, 1.0, 1.0, 500.0, 500.0, 2000)._first_drop_slot > 1000
+
+
 SOURCES = list(SourceKind)
 # (base, space, quality) per generator; a quality of 0 makes it dead.
 GENERATORS = st.lists(
