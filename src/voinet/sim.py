@@ -22,10 +22,14 @@ value, space factor, quality and size, so within a lane
 * all messages have one size, so once one does not fit in the remaining
   budget, none of the lane's messages fits for the rest of the slot.
 
-A slot therefore visits two kinds of lane.  A lane that this slot's
-arrival makes non-empty is keyed on arrival, on its one fresh message.  A
-lane carried from the last slot has its zero-valued prefix dropped and its
-next message keyed.  The slot sorts the keys into one worklist on the
+A slot therefore visits two kinds of lane.  A lane that was empty is keyed
+on arrival, on its one fresh message, which stays out of the lane (key
+index -1): sent in that slot, at age exactly 0, it touches no lane and
+moves no age sum or maximum, and it joins its lane only if the slot ends
+without sending it.  A lane carried from the last slot has its zero-valued
+prefix dropped and its next message keyed (which can be this slot's
+message, appended on arrival, so the index marks a message outside its
+lane, not the slot).  The slot sorts the keys into one worklist on the
 policy's order, takes them from the front (a lane that sends and still
 holds messages gets its next key inserted in order), skips a lane whose
 next message does not fit, and stops once no live generator's size fits.
@@ -39,21 +43,23 @@ a cost per slot that grows with the lanes visited, not the queue length.
 
 Both policies key a lane on ``(rank, slot, generator, index)``: the rank
 is ``-value`` for voi and ``0.0`` for fifo, then come the message's
-generation slot, generator and place in the lane.  The key orders messages
-exactly as ``(rank, generated_at_ms, id)`` does, with ``generated_at_ms =
-slot * slot_ms`` and ``id = slot * generators + generator``: ``slot_ms >
-0`` and rounding is monotone, so an earlier slot is never generated later,
-and where two slots round to one time the id still puts the earlier slot
-first.  The generation time and id are computed only for a message that is
-sent.  Decay is evaluated only where the order needs it.  A message of the
-current slot is worth its generator's fresh value (``validate_scenario``
-keeps every ``slot * slot_ms`` finite, so its age is exactly 0), and a
-lane's drop check stops at it, as that value is positive.  After a send,
-an equal-rank run's next message is the lane's next, keyed on the same
-rank with no evaluation.  A fifo lane is one such run from index 0, so
-fifo evaluates decay only for the drop check at a lane's old end and for
-the messages it sends.  Deliveries are counted per generator, and the
-metrics sum them per source at the end of the run.
+generation slot, generator and place in the lane (-1 outside it; a
+generator has one key at a time, so the index breaks no tie).  The key
+orders messages exactly as ``(rank, generated_at_ms, id)`` does, with
+``generated_at_ms = slot * slot_ms`` and ``id = slot * generators +
+generator``: ``slot_ms > 0`` and rounding is monotone, so an earlier slot
+is never generated later, and where two slots round to one time the id
+still puts the earlier slot first.  The generation time and id are
+computed only for a message that is sent.  Decay is evaluated only where
+the order needs it.  A message of the current slot is worth its
+generator's fresh value (``validate_scenario`` keeps every ``slot *
+slot_ms`` finite, so its age is exactly 0), and a lane's drop check stops
+at it, as that value is positive.  After a send, an equal-rank run's next
+message is the lane's next, keyed on the same rank with no evaluation.  A
+fifo lane is one such run from index 0, so fifo evaluates decay only for
+the drop check at a lane's old end and for the messages it sends.
+Deliveries are counted per generator, and the metrics sum them per source
+at the end of the run.
 
 A positive value reaches 0 only by float underflow, after about a
 thousand half-lives, so a slot before ``_first_drop_slot``, the first at
@@ -186,7 +192,9 @@ class SimState:
     through its ``write_row`` (``TransmissionRecords`` by default, ``None``
     for no log).  Private: the per-run generator constants and the lanes.
     ``_slots[k]`` holds the generation slots of generator ``k``'s queued
-    messages, oldest first; ``_carried`` lists the lanes that were non-empty
+    messages, oldest first, exactly at slot boundaries (within a slot, a
+    message that arrives in an empty lane joins it only when the slot ends
+    without sending it); ``_carried`` lists the lanes that were non-empty
     when the last slot ended, each once: the lanes the next slot re-keys.
     ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
     whose fresh value is 0 never queues a message), ``_delivered[k]`` its
@@ -243,7 +251,8 @@ class SimState:
 def validate_scenario(config: ScenarioConfig) -> None:
     """Raise ``ConfigError`` naming the offending field for invalid scenarios.
 
-    An integral field must be an ``int`` (not a ``bool``), and a position finite.
+    An integral field must be an ``int`` (not a ``bool``), and a position a
+    pair of finite numbers.
     """
     validate_config(config.voi_config)
     if not (ahp.SAATY_MIN <= config.gamma <= ahp.SAATY_MAX):
@@ -260,8 +269,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
         raise ConfigError("slot_ms", f"duration_slots * slot_ms must be finite, got {end_ms}")
     if type(config.channel_bits_per_slot) is not int or config.channel_bits_per_slot < 1:
         raise _count_error("channel_bits_per_slot", config.channel_bits_per_slot, 1)
-    if not all(map(math.isfinite, config.receiver_position)):
-        raise ConfigError("receiver_position", f"must be finite, got {config.receiver_position}")
+    _check_position("receiver_position", config.receiver_position)
     for k, gen in enumerate(config.generators):
         where = f"generators[{k}]"
         if type(gen.period_slots) is not int or gen.period_slots < 1:
@@ -270,14 +278,17 @@ def validate_scenario(config: ScenarioConfig) -> None:
             raise _count_error(f"{where}.size_bits", gen.size_bits, 1)
         if not (0.0 <= gen.quality <= 1.0):
             raise ConfigError(f"{where}.quality", f"must be in [0, 1], got {gen.quality}")
-        x, y = gen.position
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ConfigError(f"{where}.position", f"must be finite, got {gen.position}")
+        _check_position(f"{where}.position", gen.position)
         if gen.source not in config.voi_config.sources:
             raise ConfigError(
                 f"{where}.source",
                 f"{gen.source.value!r} is not among the assessed sources",
             )
+
+
+def _check_position(field: str, position) -> None:
+    if len(position) != 2 or not all(map(math.isfinite, position)):
+        raise ConfigError(field, f"must be a finite (x, y) pair, got {position}")
 
 
 def _count_error(field: str, value, minimum: int) -> ConfigError:
@@ -385,9 +396,10 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 dropped += emitting - len(live)
                 for k in live:
                     lane = slots[k]
-                    if not lane:  # a new lane: its one message is worth fresh[k]
-                        keys.append((-fresh[k] if by_value else 0.0, slot, k, 0))
-                    lane.append(slot)
+                    if lane:
+                        lane.append(slot)
+                    else:  # a new lane: its one message, worth fresh[k], stays out of it
+                        keys.append((-fresh[k] if by_value else 0.0, slot, k, -1))
 
         # Before the gate no value can have decayed to 0.  A message of this
         # slot is worth fresh[k] > 0, so a lane's drops stop at it.
@@ -403,30 +415,38 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
         remaining = budget
         while keys and remaining >= smallest_size:  # below it, no queued message fits
-            rank, s, k, i = keys.pop(0)
+            rank, s, k, i = key = keys.pop(0)
             size = sizes[k]
             if size > remaining:
-                skipped.append(k)  # the rest of the lane has this size too: none of it fits
+                skipped.append(key)  # the rest of the lane has this size too: none of it fits
                 continue
             remaining -= size
-            lane = slots[k]
-            del lane[i]
-            if i < len(lane):  # the equal-rank run goes on, oldest first (all of a fifo lane)
-                insort(keys, (rank, lane[i], k, i))
-            elif lane:
-                insort(keys, best(k))
-            v = -rank if by_value else (fresh[k] if s == slot else value(k, s))
             counts[k] += 1
+            if i < 0:  # sent in the slot it arrived, at age 0 (which moves no age sum)
+                v = fresh[k]
+            else:
+                lane = slots[k]
+                del lane[i]
+                if i < len(lane):  # the equal-rank run goes on, oldest first (all of a fifo lane)
+                    insort(keys, (rank, lane[i], k, i))
+                elif lane:
+                    insort(keys, best(k))
+                v = -rank if by_value else (fresh[k] if s == slot else value(k, s))
+                age_ms = now_ms - s * slot_ms
+                ages_sum_ms += age_ms
+                if age_ms > age_max_ms:
+                    age_max_ms = age_ms
             delivered_value += v
-            age_ms = now_ms - s * slot_ms
-            ages_sum_ms += age_ms
-            if age_ms > age_max_ms:
-                age_max_ms = age_ms
             if write_row is not None:
                 write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
-        # Every non-empty lane was skipped or still has its key in the worklist.
-        carried = skipped + [key[2] for key in keys]
+        # Every non-empty lane was skipped or still has its key in the worklist,
+        # and a new lane's unsent message joins its lane.
+        skipped += keys
+        for _, _, k, i in skipped:
+            if i < 0:
+                slots[k].append(slot)
+        carried = [key[2] for key in skipped]
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms

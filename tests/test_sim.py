@@ -455,6 +455,22 @@ def test_load_corrupt_scenario(tmp_path):
             "generators[0].position",
             id="position-inf",
         ),
+        # Positions that are not (x, y) pairs.
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(position=(0.0,))),
+            "generators[0].position",
+            id="position-one-coordinate",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(position=(1.0, 2.0, 3.0))),
+            "generators[0].position",
+            id="position-three-coordinates",
+        ),
+        pytest.param(
+            lambda c: setattr(c, "receiver_position", (0.0,)),
+            "receiver_position",
+            id="receiver-one-coordinate",
+        ),
         pytest.param(
             lambda c: c.generators.__setitem__(0, gen(period=1.5)),
             "generators[0].period_slots",

@@ -434,6 +434,16 @@ def test_stepping_every_slot_equals_run(config):
         assert log, policy
 
 
+def assert_queue_matches_reference_every_slot(config, policy):
+    state, reference = initial_state(config), reference_initial_state(config)
+    for _ in range(config.duration_slots):
+        step(state, policy)
+        reference_step(reference, policy)
+        assert len(state.queue) == len(reference.queue), state.slot
+        assert list(state.queue) == sorted(reference.queue, key=lambda m: m.id), state.slot
+    assert state.dropped == reference.dropped > 0
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_queue_yields_the_reference_messages(policy):
     generators = [
@@ -442,14 +452,19 @@ def test_queue_yields_the_reference_messages(policy):
         gen(source=SourceKind.POSITION, size=600, quality=0.5, position=(200.0, 0.0)),
         gen(source=SourceKind.POSITION, quality=0.7, position=(400.0, 0.0)),
     ]
-    config = scenario(generators, duration=120, budget=1600)
-    state, reference = initial_state(config), reference_initial_state(config)
-    for _ in range(config.duration_slots):
-        step(state, policy)
-        reference_step(reference, policy)
-        assert len(state.queue) == len(reference.queue)
-        assert list(state.queue) == sorted(reference.queue, key=lambda m: m.id)
-    assert state.dropped == reference.dropped > 0
+    assert_queue_matches_reference_every_slot(
+        scenario(generators, duration=120, budget=1600), policy
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("slot_ms", [100.0, 1e-14])
+def test_queue_yields_the_reference_messages_at_fleet_scale(slot_ms, seed, policy):
+    # The scenarios of test_fleet_scale_matches_reference.  Most messages
+    # are sent in the slot they arrive and never enter a lane; the ones that
+    # are not must be in their lanes when the slot ends.
+    assert_queue_matches_reference_every_slot(fleet(seed, slot_ms), policy)
 
 
 def test_queue_length_builds_no_message(monkeypatch):

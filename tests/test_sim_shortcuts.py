@@ -1,15 +1,17 @@
 """The simulator's shortcuts: no drop check before the first slot that can
 drop, no pop once nothing fits, a slot that visits only the lanes the last
-one left queued, and log rows formatted without the csv module.
+one left queued, no lane for a message sent in the slot it arrives, and log
+rows formatted without the csv module.
 
 Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
 drops; that slot must be the first at which some live generator's slot-0
 message, the oldest a queue can hold, is worth 0.  Once the budget left is
 below ``SimState._smallest_size`` a step pops no more keys from its sorted
 worklist.  ``SimState._carried``, the lanes the next slot starts from, must
-name every non-empty lane once and no other lane.  ``TransmissionLogWriter``
-writes each row with one ``fh.write``; its bytes must equal what
-``csv.writer`` writes for the same rows.
+name every non-empty lane once and no other lane.  A message that arrives
+in an empty lane and is sent in the same slot is never appended to the
+lane.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its
+bytes must equal what ``csv.writer`` writes for the same rows.
 """
 
 import csv
@@ -17,6 +19,7 @@ import dataclasses
 import io
 import math
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -330,6 +333,47 @@ def test_carried_lanes_are_the_non_empty_lanes(name, configs_dir):
             )
             carried_slots += bool(carried)
         assert carried_slots > 0, policy
+
+
+# --- messages sent on arrival -------------------------------------------------
+
+
+def uncontended_scenario():
+    """Every message fits in the slot it arrives: 1500 of 2000 bits at most."""
+    generators = [gen(size=1000), gen(source=SourceKind.POSITION, size=500, period=2)]
+    return scenario(generators, duration=100, budget=2000)
+
+
+@pytest.mark.parametrize("name", ["uncontended", "overload"])
+def test_a_message_sent_on_arrival_never_enters_its_lane(name, configs_dir, monkeypatch):
+    # Every appended message is one not sent in the slot it arrived: sent
+    # in a later slot, as the records show, or still queued at the end.
+    # Neither scenario drops, so no appended message leaves a lane otherwise.
+    config = {
+        "uncontended": uncontended_scenario,
+        "overload": lambda: dataclasses.replace(
+            load_scenario(configs_dir / "overload_scenario.json"), duration_slots=800
+        ),
+    }[name]()
+    appends = []
+
+    class RecordingDeque(deque):
+        def append(self, slot):
+            appends.append(slot)
+            super().append(slot)
+
+    monkeypatch.setattr(sim, "deque", RecordingDeque)
+    generators = len(config.generators)
+    for policy in ("voi", "fifo"):
+        appends.clear()
+        metrics, records = run(config, policy)
+        later = sum(r.message_id // generators != r.slot for r in records)
+        assert metrics.dropped_count == 0, policy
+        assert len(appends) == later + metrics.residual_count, policy
+        if name == "uncontended":
+            assert len(appends) == 0 and len(records) == metrics.generated_count, policy
+        else:  # voi sends only fresh messages, fifo the oldest queued ones
+            assert metrics.residual_count > 0 and (later > 0) == (policy == "fifo"), policy
 
 
 # --- log rows -----------------------------------------------------------------
