@@ -400,6 +400,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                         lane.append(slot)
                     else:  # a new lane: its one message, worth fresh[k], stays out of it
                         keys.append((-fresh[k] if by_value else 0.0, slot, k, -1))
+        unsent = len(keys)  # new lanes' messages; each joins its lane unless sent
 
         # Before the gate no value can have decayed to 0.  A message of this
         # slot is worth fresh[k] > 0, so a lane's drops stop at it.
@@ -423,6 +424,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             remaining -= size
             counts[k] += 1
             if i < 0:  # sent in the slot it arrived, at age 0 (which moves no age sum)
+                unsent -= 1
                 v = fresh[k]
             else:
                 lane = slots[k]
@@ -443,9 +445,10 @@ def _advance(state: SimState, policy: str, end: int) -> None:
         # Every non-empty lane was skipped or still has its key in the worklist,
         # and a new lane's unsent message joins its lane.
         skipped += keys
-        for _, _, k, i in skipped:
-            if i < 0:
-                slots[k].append(slot)
+        if unsent:
+            for _, _, k, i in skipped:
+                if i < 0:
+                    slots[k].append(slot)
         carried = [key[2] for key in skipped]
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits

@@ -344,36 +344,54 @@ def uncontended_scenario():
     return scenario(generators, duration=100, budget=2000)
 
 
-@pytest.mark.parametrize("name", ["uncontended", "overload"])
+@pytest.mark.parametrize("name", ["uncontended", "overload", "fleet"])
 def test_a_message_sent_on_arrival_never_enters_its_lane(name, configs_dir, monkeypatch):
-    # Every appended message is one not sent in the slot it arrived: sent
-    # in a later slot, as the records show, or still queued at the end.
-    # Neither scenario drops, so no appended message leaves a lane otherwise.
+    # A message enters its lane when it arrives in a non-empty lane, or when
+    # the slot it arrived in ends without sending it.  So each append is a
+    # message sent in a later slot (as the records show), sent in its
+    # arrival slot from a lane that held older messages as the slot began,
+    # dropped from its lane, or still queued at the end.
     config = {
         "uncontended": uncontended_scenario,
         "overload": lambda: dataclasses.replace(
             load_scenario(configs_dir / "overload_scenario.json"), duration_slots=800
         ),
+        "fleet": lambda: fleet(0),  # arrivals sent from lanes that held older messages
     }[name]()
-    appends = []
+    appends, poplefts = [], []
 
     class RecordingDeque(deque):
         def append(self, slot):
             appends.append(slot)
             super().append(slot)
 
+        def popleft(self):
+            poplefts.append(self[0])
+            return super().popleft()
+
     monkeypatch.setattr(sim, "deque", RecordingDeque)
     generators = len(config.generators)
     for policy in ("voi", "fifo"):
         appends.clear()
-        metrics, records = run(config, policy)
+        poplefts.clear()
+        state = initial_state(config)
+        busy = []  # the generators whose lane is non-empty as each slot begins
+        for _ in range(config.duration_slots):
+            busy.append({k for k, lane in enumerate(state._slots) if lane})
+            step(state, policy)
+        records = state.log
         later = sum(r.message_id // generators != r.slot for r in records)
-        assert metrics.dropped_count == 0, policy
-        assert len(appends) == later + metrics.residual_count, policy
+        joined = sum(
+            r.message_id // generators == r.slot and r.message_id % generators in busy[r.slot]
+            for r in records
+        )
+        assert len(appends) == later + joined + len(poplefts) + len(state.queue), policy
         if name == "uncontended":
-            assert len(appends) == 0 and len(records) == metrics.generated_count, policy
-        else:  # voi sends only fresh messages, fifo the oldest queued ones
-            assert metrics.residual_count > 0 and (later > 0) == (policy == "fifo"), policy
+            assert len(appends) == 0 and len(records) == state.generated, policy
+        elif name == "overload":  # voi sends only fresh messages, fifo the oldest queued ones
+            assert len(state.queue) > 0 and (later > 0) == (policy == "fifo"), policy
+        else:
+            assert joined > 0 and later > 0, policy
 
 
 # --- log rows -----------------------------------------------------------------
