@@ -4,149 +4,134 @@ Every value goes through a typed reader that raises ``ConfigError`` with
 the field's path in the document (``voi_config.decay.space_radius_m``,
 ``generators[2].size_bits``), so no malformed document surfaces as any
 other exception.  Numbers must be finite; integral fields take a whole
-float such as ``1000.0`` but never a boolean.  Range checks live with the
-objects, in ``model.validate_config`` and ``sim.validate_scenario``.
-A key that no reader asks for, such as a misspelt ``cr_treshold``, is a
-``ConfigError`` naming it, and so is a conditional matrix for an attribute
-that ``attributes`` does not list.
+float such as ``1000.0`` but never a boolean.  A key that no reader asks
+for, such as a misspelt ``cr_treshold``, is a ``ConfigError`` naming it, and
+so is a conditional matrix for an attribute that ``attributes`` does not
+list.  One vocabulary checks every field: these readers, and the range
+checks of ``model.validate_config`` and ``sim.validate_scenario``, which
+configs built in code go through too, all check through
+``errors.require`` and its shared predicates.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import reprlib
 
 import numpy as np
 
-from . import ahp, model, sim
-from .errors import ConfigError, DomainError
+from . import model, sim
+from .errors import ConfigError, DomainError, is_number, require
 
 #: Attribute-matrix cells that mark the gamma slot and its mirror.
 GAMMA_CELL = "gamma"
 GAMMA_RECIPROCAL_CELL = "1/gamma"
 
-#: The keys each kind of JSON object may hold.
-VOI_CONFIG_KEYS = ("application", "attributes", "sources", "attribute_matrix",
-                   "conditional_matrices", "decay", "cr_threshold")
-DECAY_KEYS = ("time_half_life_ms", "space_radius_m", "space_shape")
-SCENARIO_KEYS = ("duration_slots", "slot_ms", "channel_bits_per_slot", "generators",
-                 "receiver_position", "voi_config", "gamma")
-GENERATOR_KEYS = ("source", "period_slots", "size_bits", "quality", "position")
+#: Keys a document may leave out; the field then takes its dataclass default.
+OPTIONAL_KEYS = ("cr_threshold", "space_shape")
 
 
-def _field(doc: dict, key: str, read, prefix: str = "", default=None):
-    """``read(doc[key], path)``; an absent key gives ``default``, or is an error without one."""
-    if key in doc:
-        return read(doc[key], prefix + key)
-    if default is None:
-        raise ConfigError(prefix + key, "missing required field")
-    return default
+def _fields(value, path: str, prefix: str, readers: dict) -> dict:
+    """The JSON object ``value``, each key read by its reader in ``readers``.
 
-
-def _known(doc: dict, keys: tuple[str, ...], prefix: str = "") -> dict:
-    """``doc``, unless it holds a key outside ``keys``."""
+    ``prefix`` is the object's path as its keys' paths begin.  A key outside
+    ``readers`` is an error, and so is a missing one outside ``OPTIONAL_KEYS``.
+    """
+    doc = _object(value, path)
+    expected = "a key among " + ", ".join(readers)
     for key in doc:
-        if key not in keys:
-            expected = ", ".join(keys)
-            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of: {expected}")
-    return doc
+        require(prefix + key, key, readers.__contains__, expected)
+    fields = {}
+    for key, read in readers.items():
+        if key in doc:
+            fields[key] = read(doc[key], prefix + key)
+        elif key not in OPTIONAL_KEYS:
+            raise ConfigError(prefix + key, "missing required field")
+    return fields
 
 
-def _invalid(path: str, expected: str, value) -> ConfigError:
-    return ConfigError(path, f"expected {expected}, got {reprlib.repr(value)}")
+def _reader(ok, expected: str, convert=lambda value: value):
+    """Reader of a value that ``ok`` accepts, passed through ``convert``."""
+    return lambda value, path: convert(require(path, value, ok, expected))
 
 
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise _invalid(path, "an object", value)
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise _invalid(path, "a list", value)
-    return value
-
-
-def _number(value, path: str) -> float:
-    """A finite number as a float; booleans are not numbers."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond float range
-            pass
-    raise _invalid(path, "a finite number", value)
-
-
-def _integer(value, path: str) -> int:
-    """A whole number (``3`` or ``3.0``) as an int; booleans are not numbers."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise _invalid(path, "an integer", value)
+def _list_of(read):
+    """Reader of a list, each item read by ``read``."""
+    return lambda value, path: [read(item, f"{path}[{i}]")
+                                for i, item in enumerate(_list(value, path))]
 
 
 def _enum(cls):
     """Reader of one member of the enum ``cls``, named by its value."""
+    members = {member.value: member for member in cls}
+    return _reader(lambda v: isinstance(v, str) and v in members,
+                   "one of: " + ", ".join(members), members.__getitem__)
 
-    def read(value, path: str):
-        for member in cls:
-            if isinstance(value, str) and member.value == value:
-                return member
-        raise _invalid(path, "one of: " + ", ".join(member.value for member in cls), value)
 
-    return read
+_object = _reader(lambda v: isinstance(v, dict), "an object")
+_list = _reader(lambda v: isinstance(v, list), "a list")
+_pair = _reader(lambda v: isinstance(v, list) and len(v) == 2, "[x, y]")
+_number = _reader(is_number, "a finite number", float)
+_integer = _reader(lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
+                   "an integer", int)
+_numbers = _list_of(_number)
+_attribute = _enum(model.Attribute)
+_source = _enum(model.SourceKind)
 
 
 def _position(value, path: str) -> tuple[float, float]:
-    if len(_list(value, path)) != 2:
-        raise _invalid(path, "[x, y]", value)
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return tuple(_numbers(_pair(value, path), path))
 
 
-def _matrix(value, path: str, marks=()) -> tuple[np.ndarray, dict[str, list]]:
-    """Square matrix of numbers, plus the cells holding each string of ``marks``.
+def _matrix(value, path: str, gamma: bool = False) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Square matrix of numbers, plus its gamma slot when ``gamma`` is set.
 
-    Marked cells are left at 1 in the returned matrix.
+    The slot is the first ``"gamma"`` cell above the diagonal, and its
+    mirror must hold ``"1/gamma"``; both are left at 1 in the matrix.  Any
+    other ``"gamma"`` or ``"1/gamma"`` cell is not a number, so an error.
     """
     rows = _list(value, path)
-    matrix = np.ones((len(rows), len(rows)))
-    marked = {mark: [] for mark in marks}
+    n = len(rows)
+    matrix = np.ones((n, n))
+    slot = None
     for i, row in enumerate(rows):
-        if len(_list(row, f"{path}[{i}]")) != len(rows):
-            raise ConfigError(f"{path}[{i}]", f"row has {len(row)} cells, expected {len(rows)}")
+        require(f"{path}[{i}]", len(_list(row, f"{path}[{i}]")), n.__eq__, f"{n} cells")
         for j, cell in enumerate(row):
-            if isinstance(cell, str) and cell in marked:
-                marked[cell].append((i, j))
-            else:
+            if gamma and slot is None and i < j and cell == GAMMA_CELL:
+                slot = (i, j)
+            elif not (slot == (j, i) and cell == GAMMA_RECIPROCAL_CELL):
                 matrix[i, j] = _number(cell, f"{path}[{i}][{j}]")
-    return matrix, marked
+    if slot is not None:
+        i, j = slot
+        require(path, rows[j][i], lambda cell: cell == GAMMA_RECIPROCAL_CELL,
+                f"{GAMMA_RECIPROCAL_CELL!r} at {(j, i)}, the mirror of the gamma slot {slot}")
+    return matrix, slot
 
 
-def _attribute_matrix(value, path: str) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Numeric template plus the gamma slot: a ``"gamma"`` cell above the diagonal
-    and ``"1/gamma"`` at its mirror."""
-    matrix, marked = _matrix(value, path, (GAMMA_CELL, GAMMA_RECIPROCAL_CELL))
-    slots, mirrors = marked[GAMMA_CELL], marked[GAMMA_RECIPROCAL_CELL]
-    for i, j in slots:
-        if i >= j:
-            raise ConfigError(f"{path}[{i}][{j}]", "gamma slot must be above the diagonal")
-    if len(slots) > 1:
-        i, j = slots[1]
-        raise ConfigError(f"{path}[{i}][{j}]", f"second gamma slot; first at {slots[0]}")
-    if not slots:
-        if mirrors:
-            i, j = mirrors[0]
-            raise ConfigError(f"{path}[{i}][{j}]", "1/gamma cell without a gamma slot")
-        return matrix, None
-    mirror = (slots[0][1], slots[0][0])
-    if mirrors != [mirror]:
-        raise ConfigError(path, f"gamma slot at {slots[0]} requires exactly one "
-                                f"{GAMMA_RECIPROCAL_CELL!r} cell at {mirror}, found {mirrors}")
-    return matrix, slots[0]
+def _decay(value, path: str) -> model.DecayProfile:
+    fields = _fields(value, path, path + ".", DECAY_READERS)
+    try:
+        return model.DecayProfile(**fields)
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+#: The reader of each key of each kind of JSON object.
+DECAY_READERS = {"time_half_life_ms": _number, "space_radius_m": _number,
+                 "space_shape": _enum(model.SpaceShape)}
+VOI_CONFIG_READERS = {
+    "application": _enum(model.ApplicationKind),
+    "attributes": _list_of(_attribute),
+    "sources": _list_of(_source),
+    "attribute_matrix": lambda value, path: _matrix(value, path, gamma=True),
+    "conditional_matrices": lambda value, path: {
+        _attribute(key, f"{path}.{key}"): _matrix(cells, f"{path}.{key}")[0]
+        for key, cells in _object(value, path).items()
+    },
+    "decay": _decay,
+    "cr_threshold": _number,
+}
+GENERATOR_READERS = {"source": _source, "period_slots": _integer, "size_bits": _integer,
+                     "quality": _number, "position": _position}
 
 
 def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
@@ -155,38 +140,9 @@ def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
     ``prefix`` is the document's own path and a dot when it is embedded in
     another, as a scenario's ``voi_config`` is.
     """
-    doc = _known(_object(doc, prefix.rstrip(".") or "document"), VOI_CONFIG_KEYS, prefix)
-    application = _field(doc, "application", _enum(model.ApplicationKind), prefix)
-    attributes = tuple(_enum(model.Attribute)(a, f"{prefix}attributes[{i}]")
-                       for i, a in enumerate(_field(doc, "attributes", _list, prefix)))
-    sources = tuple(_enum(model.SourceKind)(s, f"{prefix}sources[{i}]")
-                    for i, s in enumerate(_field(doc, "sources", _list, prefix)))
-    matrix, slot = _field(doc, "attribute_matrix", _attribute_matrix, prefix)
-    conditionals = {}
-    for key, cells in _field(doc, "conditional_matrices", _object, prefix).items():
-        where = f"{prefix}conditional_matrices.{key}"
-        conditionals[_enum(model.Attribute)(key, where)] = _matrix(cells, where)[0]
-    where = prefix + "decay."
-    decay_doc = _known(_field(doc, "decay", _object, prefix), DECAY_KEYS, where)
-    try:
-        decay = model.DecayProfile(
-            time_half_life_ms=_field(decay_doc, "time_half_life_ms", _number, where),
-            space_radius_m=_field(decay_doc, "space_radius_m", _number, where),
-            space_shape=_field(decay_doc, "space_shape", _enum(model.SpaceShape), where,
-                               model.SpaceShape.NEAR_PREFERRED),
-        )
-    except DomainError as exc:
-        raise ConfigError(prefix + "decay", str(exc))
-    config = model.VoiConfig(
-        application=application,
-        attributes=attributes,
-        sources=sources,
-        attribute_matrix=matrix,
-        conditional_matrices=conditionals,
-        decay=decay,
-        gamma_slot=slot,
-        cr_threshold=_field(doc, "cr_threshold", _number, prefix, ahp.DEFAULT_CR_THRESHOLD),
-    )
+    fields = _fields(doc, prefix.rstrip(".") or "document", prefix, VOI_CONFIG_READERS)
+    fields["attribute_matrix"], fields["gamma_slot"] = fields["attribute_matrix"]
+    config = model.VoiConfig(**fields)
     try:
         model.validate_config(config)
     except ConfigError as exc:
@@ -194,31 +150,22 @@ def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
     return config
 
 
-def _generator(value, path: str) -> sim.GeneratorSpec:
-    prefix = path + "."
-    doc = _known(_object(value, path), GENERATOR_KEYS, prefix)
-    return sim.GeneratorSpec(
-        source=_field(doc, "source", _enum(model.SourceKind), prefix),
-        period_slots=_field(doc, "period_slots", _integer, prefix),
-        size_bits=_field(doc, "size_bits", _integer, prefix),
-        quality=_field(doc, "quality", _number, prefix),
-        position=_field(doc, "position", _position, prefix),
-    )
+SCENARIO_READERS = {
+    "duration_slots": _integer,
+    "slot_ms": _number,
+    "channel_bits_per_slot": _integer,
+    "generators": _list_of(
+        lambda value, path: sim.GeneratorSpec(**_fields(value, path, path + ".", GENERATOR_READERS))
+    ),
+    "receiver_position": _position,
+    "voi_config": lambda value, path: voi_config_from_dict(value, path + "."),
+    "gamma": _number,
+}
 
 
 def scenario_from_dict(doc) -> sim.ScenarioConfig:
     """Build and validate a ``ScenarioConfig`` from a parsed JSON document."""
-    doc = _known(_object(doc, "document"), SCENARIO_KEYS)
-    generators = _field(doc, "generators", _list)
-    config = sim.ScenarioConfig(
-        duration_slots=_field(doc, "duration_slots", _integer),
-        slot_ms=_field(doc, "slot_ms", _number),
-        channel_bits_per_slot=_field(doc, "channel_bits_per_slot", _integer),
-        generators=[_generator(g, f"generators[{k}]") for k, g in enumerate(generators)],
-        receiver_position=_field(doc, "receiver_position", _position),
-        voi_config=voi_config_from_dict(_field(doc, "voi_config", _object), "voi_config."),
-        gamma=_field(doc, "gamma", _number),
-    )
+    config = sim.ScenarioConfig(**_fields(doc, "document", "", SCENARIO_READERS))
     sim.validate_scenario(config)
     return config
 

@@ -1,4 +1,15 @@
-"""Exception types shared by all voinet modules; each class sets its CLI exit code."""
+"""Exception types shared by all voinet modules, and ``require``, the one check of a config field.
+
+Each exception class sets its CLI exit code.  The JSON loader and the
+validators of configs built in code check every field through
+``require``, with the shared predicates below.  Each tests a value's type
+before its range, so a wrongly typed field fails its own check.
+"""
+
+import reprlib
+import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class VoinetError(Exception):
@@ -45,3 +56,38 @@ class ConfigError(VoinetError):
         super().__init__(f"{field}: {reason}")
         self.field = field
         self.reason = reason
+
+
+def require(field: str, value, ok, expected: str):
+    """``value`` if ``ok(value)``, else ``ConfigError(field, "expected <expected>, got ...")``."""
+    if ok(value):
+        return value
+    raise ConfigError(field, f"expected {expected}, got {reprlib.repr(value)}")
+
+
+def require_fields(obj, fields, prefix: str = "") -> None:
+    """``require`` each ``(name, ok, expected)`` of ``fields`` on ``obj``'s attribute ``name``."""
+    for name, ok, expected in fields:
+        require(prefix + name, getattr(obj, name), ok, expected)
+
+
+def is_number(value) -> bool:
+    """A finite ``int`` or ``float``, not a ``bool``; an ``int`` must be within float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)  # false for NaN and the infinities
+
+
+def is_positive(value) -> bool:
+    """A finite number above 0."""
+    return is_number(value) and value > 0
+
+
+def is_count(minimum: int):
+    """Predicate: an ``int`` (not a ``bool``) of at least ``minimum`` that a float can hold."""
+    return lambda value: type(value) is int and minimum <= value <= _FLOAT_MAX
+
+
+def is_point(value) -> bool:
+    """A finite (x, y) pair: a tuple or list of two numbers."""
+    return (isinstance(value, (tuple, list)) and len(value) == 2
+            and is_number(value[0]) and is_number(value[1]))

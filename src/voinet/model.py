@@ -23,7 +23,9 @@ from enum import Enum
 import numpy as np
 
 from . import ahp
-from .errors import ConfigError, DomainError, TemporalOrderError
+from .errors import (
+    ConfigError, DomainError, TemporalOrderError, is_positive, require, require_fields,
+)
 
 
 class ApplicationKind(Enum):
@@ -87,10 +89,13 @@ class DecayProfile:
     space_shape: SpaceShape = SpaceShape.NEAR_PREFERRED
 
     def __post_init__(self):
-        for name in ("time_half_life_ms", "space_radius_m"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # also false for NaN
-                raise DomainError(f"{name} must be finite and positive, got {value}")
+        try:
+            for name in ("time_half_life_ms", "space_radius_m"):
+                require(name, getattr(self, name), is_positive, "a finite number > 0")
+            require("space_shape", self.space_shape, lambda v: isinstance(v, SpaceShape),
+                    "a SpaceShape")
+        except ConfigError as exc:
+            raise DomainError(str(exc)) from None
 
 
 @dataclass
@@ -119,33 +124,37 @@ class VoiConfig:
         self.attribute_matrix = np.asarray(self.attribute_matrix, dtype=float)
 
 
+def _distinct(cls):
+    """Predicate: a tuple or list of at least 2 distinct members of the enum ``cls``."""
+    return lambda v: (isinstance(v, (tuple, list)) and all(isinstance(m, cls) for m in v)
+                      and 2 <= len(set(v)) == len(v))
+
+
+#: What ``validate_config`` requires of the fields it checks before the matrices.
+CONFIG_FIELDS = (
+    ("attributes", _distinct(Attribute), "at least 2 distinct attributes"),
+    ("sources", _distinct(SourceKind), "at least 2 distinct sources"),
+    ("conditional_matrices", lambda v: isinstance(v, dict)
+     and all(isinstance(a, Attribute) for a in v), "a dict keyed by attribute"),
+    ("decay", lambda v: isinstance(v, DecayProfile), "a DecayProfile"),
+    ("cr_threshold", is_positive, "a finite number > 0"),
+)
+
+
 def validate_config(config: VoiConfig) -> None:
     """Check config-level invariants, raising ``ConfigError`` naming the field."""
-    n_attr = len(config.attributes)
-    n_src = len(config.sources)
-    if n_attr < 2:
-        raise ConfigError("attributes", f"need at least 2 attributes, got {n_attr}")
-    if n_src < 2:
-        raise ConfigError("sources", f"need at least 2 sources, got {n_src}")
-    if len(set(config.attributes)) != n_attr:
-        raise ConfigError("attributes", "attributes must be distinct")
-    if len(set(config.sources)) != n_src:
-        raise ConfigError("sources", "sources must be distinct")
+    require_fields(config, CONFIG_FIELDS)
     _template(config)
+    n_src = len(config.sources)
+    conditionals = config.conditional_matrices
     for attribute in config.attributes:
         where = f"conditional_matrices.{attribute.value}"
-        if attribute not in config.conditional_matrices:
-            raise ConfigError(where, "missing conditional matrix")
-        m = np.asarray(config.conditional_matrices[attribute], dtype=float)
-        if m.shape != (n_src, n_src):
-            raise ConfigError(where, f"expected shape {(n_src, n_src)}, got {m.shape}")
-        _check_matrix(m, where)
-    for attribute in config.conditional_matrices:
-        if attribute not in config.attributes:
-            where = f"conditional_matrices.{attribute.value}"
-            raise ConfigError(where, "not among the attributes")
-    if not (0.0 < config.cr_threshold):
-        raise ConfigError("cr_threshold", f"must be positive, got {config.cr_threshold}")
+        m = require(where, conditionals.get(attribute), lambda m: np.shape(m) == (n_src, n_src),
+                    f"a {n_src} x {n_src} matrix, one row per source")
+        _check_matrix(np.asarray(m, dtype=float), where)
+    for attribute in conditionals:
+        require(f"conditional_matrices.{attribute.value}", attribute,
+                config.attributes.__contains__, "one of the attributes")
 
 
 def _check_matrix(matrix: np.ndarray, field: str) -> None:
@@ -161,7 +170,8 @@ def _check_matrix(matrix: np.ndarray, field: str) -> None:
 def _template(config: VoiConfig) -> np.ndarray:
     """The attribute matrix at gamma = 1; ``ConfigError`` unless shape, slot and cells pass."""
     n = len(config.attributes)
-    m = config.attribute_matrix.copy()
+    m = require("attribute_matrix", config.attribute_matrix,
+                lambda v: isinstance(v, np.ndarray) and v.dtype == float, "a float array").copy()
     if m.shape != (n, n):
         expected = f"expected shape {(n, n)}, one row per attribute"
         raise ConfigError("attribute_matrix", f"must be square: {expected}, got {m.shape}")

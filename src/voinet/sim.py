@@ -81,14 +81,13 @@ produce bit-identical metrics and transmission logs.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ahp
-from .errors import ConfigError, DomainError
+from .errors import DomainError, is_count, is_number, is_point, is_positive, require, require_fields
 from .model import (
     Metadata,
     SourceKind,
@@ -248,51 +247,43 @@ class SimState:
         return _QueueView(self)
 
 
+#: What ``validate_scenario`` requires of each scenario field.
+SCENARIO_FIELDS = (
+    ("voi_config", lambda v: isinstance(v, VoiConfig), "a VoiConfig"),
+    ("gamma", lambda v: is_number(v) and ahp.SAATY_MIN <= v <= ahp.SAATY_MAX,
+     "a number in the Saaty bounds [1/9, 9]"),
+    ("duration_slots", is_count(0), "an integer >= 0"),
+    ("slot_ms", is_positive, "a finite number > 0"),
+    ("channel_bits_per_slot", is_count(1), "an integer >= 1"),
+    ("receiver_position", is_point, "a finite (x, y) pair"),
+    ("generators", lambda v: isinstance(v, (list, tuple))
+     and all(isinstance(g, GeneratorSpec) for g in v), "a list of GeneratorSpec"),
+)
+
+#: What ``validate_scenario`` requires of each field of every generator, before its source.
+GENERATOR_FIELDS = (
+    ("period_slots", is_count(1), "an integer >= 1"),
+    ("size_bits", is_count(1), "an integer >= 1"),
+    ("quality", lambda v: is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    ("position", is_point, "a finite (x, y) pair"),
+)
+
+
 def validate_scenario(config: ScenarioConfig) -> None:
-    """Raise ``ConfigError`` naming the offending field for invalid scenarios.
+    """Raise ``ConfigError`` naming the first field that fails its check.
 
-    An integral field must be an ``int`` (not a ``bool``), and a position a
-    pair of finite numbers.
+    The checks, in order: ``SCENARIO_FIELDS``, ``validate_config``, then each
+    generator's ``GENERATOR_FIELDS`` and its source (among the assessed ones).
     """
+    require_fields(config, SCENARIO_FIELDS)
     validate_config(config.voi_config)
-    if not (ahp.SAATY_MIN <= config.gamma <= ahp.SAATY_MAX):
-        raise ConfigError("gamma", f"{config.gamma} outside Saaty bounds [1/9, 9]")
-    if type(config.duration_slots) is not int or config.duration_slots < 0:
-        raise _count_error("duration_slots", config.duration_slots, 0)
-    if config.slot_ms <= 0:
-        raise ConfigError("slot_ms", f"must be positive, got {config.slot_ms}")
-    try:
-        end_ms = config.duration_slots * config.slot_ms
-    except OverflowError:
-        raise ConfigError("duration_slots", "beyond float range") from None
-    if not math.isfinite(end_ms):
-        raise ConfigError("slot_ms", f"duration_slots * slot_ms must be finite, got {end_ms}")
-    if type(config.channel_bits_per_slot) is not int or config.channel_bits_per_slot < 1:
-        raise _count_error("channel_bits_per_slot", config.channel_bits_per_slot, 1)
-    _check_position("receiver_position", config.receiver_position)
+    require("slot_ms", config.duration_slots * float(config.slot_ms), is_number,
+            "a finite duration_slots * slot_ms")
+    sources = config.voi_config.sources
     for k, gen in enumerate(config.generators):
-        where = f"generators[{k}]"
-        if type(gen.period_slots) is not int or gen.period_slots < 1:
-            raise _count_error(f"{where}.period_slots", gen.period_slots, 1)
-        if type(gen.size_bits) is not int or gen.size_bits < 1:
-            raise _count_error(f"{where}.size_bits", gen.size_bits, 1)
-        if not (0.0 <= gen.quality <= 1.0):
-            raise ConfigError(f"{where}.quality", f"must be in [0, 1], got {gen.quality}")
-        _check_position(f"{where}.position", gen.position)
-        if gen.source not in config.voi_config.sources:
-            raise ConfigError(
-                f"{where}.source",
-                f"{gen.source.value!r} is not among the assessed sources",
-            )
-
-
-def _check_position(field: str, position) -> None:
-    if len(position) != 2 or not all(map(math.isfinite, position)):
-        raise ConfigError(field, f"must be a finite (x, y) pair, got {position}")
-
-
-def _count_error(field: str, value, minimum: int) -> ConfigError:
-    return ConfigError(field, f"must be an integer >= {minimum}, got {value!r}")
+        where = f"generators[{k}]."
+        require_fields(gen, GENERATOR_FIELDS, where)
+        require(where + "source", gen.source, sources.__contains__, "one of the assessed sources")
 
 
 def _check_policy(policy: str) -> None:

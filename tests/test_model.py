@@ -1,5 +1,6 @@
 """Value model: taxonomy, configs, matrix instantiation, assessment, decay."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from voinet import ahp
-from voinet.config import load_voi_config, voi_config_from_dict
+from voinet.config import load_scenario, load_voi_config, voi_config_from_dict
 from voinet.errors import ConfigError, DomainError, TemporalOrderError
 from voinet.model import (
     ApplicationKind,
@@ -95,11 +96,21 @@ def test_metadata_rejects_quality_outside_unit_interval():
 
 def test_decay_profile_rejects_non_positive_parameters():
     # NaN and infinity too: a NaN half-life or radius would value every message 0.
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # An int beyond float range would overflow in a run, and True would read as 1 ms.
+    for bad in (0.0, -1.0, math.nan, math.inf, 10**400, True, "1", None):
         with pytest.raises(DomainError):
             DecayProfile(time_half_life_ms=bad, space_radius_m=300.0)
         with pytest.raises(DomainError):
             DecayProfile(time_half_life_ms=500.0, space_radius_m=bad)
+
+
+def test_decay_profile_rejects_a_space_shape_that_is_not_a_member():
+    # A string shape would decay as far-preferred: on the bundled overload
+    # scenario voi would deliver 101.031746, not 165.293651.
+    decay = load_scenario(REPO_ROOT / "configs" / "overload_scenario.json").voi_config.decay
+    for bad in ("near_preferred", None, ApplicationKind.SAFETY):
+        with pytest.raises(DomainError):
+            dataclasses.replace(decay, space_shape=bad)
 
 
 # --- matrix instantiation -------------------------------------------------

@@ -1,16 +1,29 @@
 """Slotted dissemination simulator: generation, scheduling, transmission."""
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voinet import sim
 from voinet.config import load_scenario
 from voinet.errors import ConfigError, DomainError
-from voinet.model import Metadata, SourceKind, effective_voi, source_scores
+from voinet.model import (
+    ApplicationKind,
+    Attribute,
+    DecayProfile,
+    Metadata,
+    SourceKind,
+    SpaceShape,
+    VoiConfig,
+    effective_voi,
+    source_scores,
+)
 from voinet.sim import (
+    POLICIES,
     GeneratorSpec,
     Message,
     ScenarioConfig,
@@ -486,6 +499,26 @@ def test_load_corrupt_scenario(tmp_path):
             "generators[0].quality",
             id="quality-nan",
         ),
+        # Wrongly typed or beyond float range: each fails its own field's
+        # check, never a comparison (TypeError) or a product (OverflowError).
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(position=None)),
+            "generators[0].position",
+            id="position-none",
+        ),
+        pytest.param(
+            lambda c: c.generators.__setitem__(0, gen(quality=None)),
+            "generators[0].quality",
+            id="quality-none",
+        ),
+        pytest.param(lambda c: setattr(c, "slot_ms", "1"), "slot_ms", id="slot-ms-str"),
+        pytest.param(lambda c: setattr(c, "gamma", None), "gamma", id="gamma-none"),
+        pytest.param(lambda c: setattr(c, "slot_ms", 10**400), "slot_ms", id="slot-ms-huge"),
+        pytest.param(
+            lambda c: setattr(c.voi_config, "cr_threshold", 10**400),
+            "cr_threshold",
+            id="cr-threshold-huge",
+        ),
     ],
 )
 def test_scenario_validation_names_field(mutate, field):
@@ -494,3 +527,62 @@ def test_scenario_validation_names_field(mutate, field):
     with pytest.raises(ConfigError) as excinfo:
         validate_scenario(config)
     assert excinfo.value.field == field
+
+
+# --- in-code configs: any one field replaced by any value -------------------
+
+# Values a caller can put into a field built in code: none of JSON's limits
+# hold, so there are tuples, numpy scalars, enum members and plain objects
+# too, besides NaN, infinities, booleans and integers beyond float range.
+JUNK_ITEMS = st.sampled_from([
+    None, True, False, "", "1", "near_preferred", math.nan, math.inf, -math.inf,
+    10**400, -(10**400), 1e308, 0.0, 1.0, 3.0, 100.0, 0, 1, 2,
+    np.float64(2.0), np.int64(3), object(),
+])
+JUNK = (
+    JUNK_ITEMS
+    | st.lists(JUNK_ITEMS, max_size=4)
+    | st.lists(JUNK_ITEMS, max_size=4).map(tuple)
+    | st.sampled_from([*ApplicationKind, *SourceKind, *Attribute, *SpaceShape])
+)
+IN_CODE_FIELDS = (
+    [(ScenarioConfig, f.name) for f in dataclasses.fields(ScenarioConfig)]
+    + [(VoiConfig, f.name) for f in dataclasses.fields(VoiConfig)]
+    + [(GeneratorSpec, f.name) for f in dataclasses.fields(GeneratorSpec)]
+    + [(DecayProfile, f.name) for f in dataclasses.fields(DecayProfile)]
+)
+
+
+@settings(
+    max_examples=400,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.sampled_from(IN_CODE_FIELDS), JUNK)
+def test_fuzzed_in_code_config_runs_or_names_the_field(target, value):
+    # setattr on the mutable configs, dataclasses.replace on the frozen ones,
+    # whose constructor may reject the value itself.
+    kind, name = target
+    config = scenario([gen(), gen(source=SourceKind.POSITION, period=2)], duration=5)
+    field = name
+    if kind is ScenarioConfig:
+        setattr(config, name, value)
+    elif kind is VoiConfig:
+        setattr(config.voi_config, name, value)
+    elif kind is GeneratorSpec:
+        config.generators[0] = dataclasses.replace(config.generators[0], **{name: value})
+        field = f"generators[0].{name}"
+    else:
+        try:
+            config.voi_config.decay = dataclasses.replace(config.voi_config.decay, **{name: value})
+        except DomainError:
+            return
+        field = f"decay.{name}"
+    try:
+        validate_scenario(config)
+    except ConfigError as exc:
+        assert exc.field == field or exc.field.startswith((field + ".", field + "["))
+        return
+    for policy in POLICIES:
+        run(config, policy, log=False)
