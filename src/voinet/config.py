@@ -1,16 +1,15 @@
 """Config files: JSON documents in, validated ``VoiConfig`` and ``ScenarioConfig`` out.
 
-Every value goes through a typed reader that raises ``ConfigError`` with
-the field's path in the document (``voi_config.decay.space_radius_m``,
-``generators[2].size_bits``), so no malformed document surfaces as any
-other exception.  Numbers must be finite; integral fields take a whole
-float such as ``1000.0`` but never a boolean.  A key that no reader asks
-for, such as a misspelt ``cr_treshold``, is a ``ConfigError`` naming it, and
-so is a conditional matrix for an attribute that ``attributes`` does not
-list.  One vocabulary checks every field: these readers, and the range
-checks of ``model.validate_config`` and ``sim.validate_scenario``, which
-configs built in code go through too, all check through
-``errors.require`` and its shared predicates.
+Every value goes through a typed reader, then ``model.validate_config`` or
+``sim.validate_scenario``, which configs built in code go through too; all
+check through ``errors.require`` and its shared predicates.  A field that
+fails, by type or by range, is a ``ConfigError`` naming its full path
+(``voi_config.decay.space_radius_m``, ``generators[2].size_bits``), as a
+scenario built in code names its own (``voi_config.cr_threshold``).
+Numbers must be finite; integral fields take a whole float such as
+``1000.0`` but never a boolean.  A key that no reader asks for, such as a
+misspelt ``cr_treshold``, is an error naming it, and so is a conditional
+matrix for an attribute that ``attributes`` does not list.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import json
 import numpy as np
 
 from . import model, sim
-from .errors import ConfigError, DomainError, is_number, require
+from .errors import ConfigError, is_number, is_positive, require
 
 #: Attribute-matrix cells that mark the gamma slot and its mirror.
 GAMMA_CELL = "gamma"
@@ -60,6 +59,11 @@ def _list_of(read):
                                 for i, item in enumerate(_list(value, path))]
 
 
+def _built(cls, readers: dict):
+    """Reader of a JSON object whose keys, read by ``readers``, build a ``cls``."""
+    return lambda value, path: cls(**_fields(value, path, path + ".", readers))
+
+
 def _enum(cls):
     """Reader of one member of the enum ``cls``, named by its value."""
     members = {member.value: member for member in cls}
@@ -71,6 +75,7 @@ _object = _reader(lambda v: isinstance(v, dict), "an object")
 _list = _reader(lambda v: isinstance(v, list), "a list")
 _pair = _reader(lambda v: isinstance(v, list) and len(v) == 2, "[x, y]")
 _number = _reader(is_number, "a finite number", float)
+_positive = _reader(is_positive, "a finite number > 0", float)  # as DecayProfile checks
 _integer = _reader(lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
                    "an integer", int)
 _numbers = _list_of(_number)
@@ -107,16 +112,8 @@ def _matrix(value, path: str, gamma: bool = False) -> tuple[np.ndarray, tuple[in
     return matrix, slot
 
 
-def _decay(value, path: str) -> model.DecayProfile:
-    fields = _fields(value, path, path + ".", DECAY_READERS)
-    try:
-        return model.DecayProfile(**fields)
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
 #: The reader of each key of each kind of JSON object.
-DECAY_READERS = {"time_half_life_ms": _number, "space_radius_m": _number,
+DECAY_READERS = {"time_half_life_ms": _positive, "space_radius_m": _positive,
                  "space_shape": _enum(model.SpaceShape)}
 VOI_CONFIG_READERS = {
     "application": _enum(model.ApplicationKind),
@@ -127,26 +124,24 @@ VOI_CONFIG_READERS = {
         _attribute(key, f"{path}.{key}"): _matrix(cells, f"{path}.{key}")[0]
         for key, cells in _object(value, path).items()
     },
-    "decay": _decay,
+    "decay": _built(model.DecayProfile, DECAY_READERS),
     "cr_threshold": _number,
 }
 GENERATOR_READERS = {"source": _source, "period_slots": _integer, "size_bits": _integer,
                      "quality": _number, "position": _position}
 
 
-def voi_config_from_dict(doc, prefix: str = "") -> model.VoiConfig:
-    """Build and validate a ``VoiConfig`` from a parsed JSON document.
-
-    ``prefix`` is the document's own path and a dot when it is embedded in
-    another, as a scenario's ``voi_config`` is.
-    """
-    fields = _fields(doc, prefix.rstrip(".") or "document", prefix, VOI_CONFIG_READERS)
+def _voi_config(value, path: str, prefix: str) -> model.VoiConfig:
+    """A ``VoiConfig`` read from ``value``, not yet validated; ``prefix`` as for ``_fields``."""
+    fields = _fields(value, path, prefix, VOI_CONFIG_READERS)
     fields["attribute_matrix"], fields["gamma_slot"] = fields["attribute_matrix"]
-    config = model.VoiConfig(**fields)
-    try:
-        model.validate_config(config)
-    except ConfigError as exc:
-        raise ConfigError(prefix + exc.field, exc.reason) from None
+    return model.VoiConfig(**fields)
+
+
+def voi_config_from_dict(doc) -> model.VoiConfig:
+    """Build and validate a ``VoiConfig`` from a parsed JSON document."""
+    config = _voi_config(doc, "document", "")
+    model.validate_config(config)
     return config
 
 
@@ -154,11 +149,9 @@ SCENARIO_READERS = {
     "duration_slots": _integer,
     "slot_ms": _number,
     "channel_bits_per_slot": _integer,
-    "generators": _list_of(
-        lambda value, path: sim.GeneratorSpec(**_fields(value, path, path + ".", GENERATOR_READERS))
-    ),
+    "generators": _list_of(_built(sim.GeneratorSpec, GENERATOR_READERS)),
     "receiver_position": _position,
-    "voi_config": lambda value, path: voi_config_from_dict(value, path + "."),
+    "voi_config": lambda value, path: _voi_config(value, path, path + "."),
     "gamma": _number,
 }
 

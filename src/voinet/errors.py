@@ -87,7 +87,6 @@ def is_count(minimum: int):
     return lambda value: type(value) is int and minimum <= value <= _FLOAT_MAX
 
 
-def is_point(value) -> bool:
-    """A finite (x, y) pair: a tuple or list of two numbers."""
-    return (isinstance(value, (tuple, list)) and len(value) == 2
-            and is_number(value[0]) and is_number(value[1]))
+def is_vector(n: int, ok=is_number):
+    """Predicate: a tuple or list of ``n`` items that ``ok`` accepts, finite numbers by default."""
+    return lambda v: isinstance(v, (tuple, list)) and len(v) == n and all(map(ok, v))

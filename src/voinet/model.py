@@ -23,9 +23,8 @@ from enum import Enum
 import numpy as np
 
 from . import ahp
-from .errors import (
-    ConfigError, DomainError, TemporalOrderError, is_positive, require, require_fields,
-)
+from .errors import (ConfigError, DomainError, TemporalOrderError, is_count, is_number,
+                     is_positive, is_vector, require, require_fields)
 
 
 class ApplicationKind(Enum):
@@ -58,8 +57,18 @@ class SpaceShape(Enum):
     FAR_PREFERRED = "far_preferred"
 
 
+class _Checked:
+    """Base of a value object whose construction checks its ``FIELDS``, raising ``DomainError``."""
+
+    def __post_init__(self):
+        try:
+            require_fields(self, self.FIELDS)
+        except ConfigError as exc:
+            raise DomainError(str(exc)) from None
+
+
 @dataclass(frozen=True)
-class Metadata:
+class Metadata(_Checked):
     """Annotation attached to a generated piece of information."""
 
     source: SourceKind
@@ -68,15 +77,13 @@ class Metadata:
     size_bits: int
     quality: float
 
-    def __post_init__(self):
-        if self.size_bits <= 0:
-            raise DomainError(f"size_bits must be positive, got {self.size_bits}")
-        if not (0.0 <= self.quality <= 1.0):
-            raise DomainError(f"quality must be in [0, 1], got {self.quality}")
+    #: What ``_Checked`` requires of them; ``sim`` checks every generator's size and quality by it.
+    FIELDS = (("size_bits", is_count(1), "an integer >= 1"),
+              ("quality", lambda v: is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"))
 
 
 @dataclass(frozen=True)
-class DecayProfile:
+class DecayProfile(_Checked):
     """Decay parameters: exponential in age, linear cutoff in distance.
 
     Value halves every ``time_half_life_ms``.  ``space_radius_m`` is the
@@ -88,14 +95,9 @@ class DecayProfile:
     space_radius_m: float
     space_shape: SpaceShape = SpaceShape.NEAR_PREFERRED
 
-    def __post_init__(self):
-        try:
-            for name in ("time_half_life_ms", "space_radius_m"):
-                require(name, getattr(self, name), is_positive, "a finite number > 0")
-            require("space_shape", self.space_shape, lambda v: isinstance(v, SpaceShape),
-                    "a SpaceShape")
-        except ConfigError as exc:
-            raise DomainError(str(exc)) from None
+    FIELDS = (("time_half_life_ms", is_positive, "a finite number > 0"),
+              ("space_radius_m", is_positive, "a finite number > 0"),
+              ("space_shape", lambda v: isinstance(v, SpaceShape), "a SpaceShape"))
 
 
 @dataclass
@@ -146,18 +148,20 @@ def validate_config(config: VoiConfig) -> None:
     require_fields(config, CONFIG_FIELDS)
     _template(config)
     n_src = len(config.sources)
+    is_table = is_vector(n_src, is_vector(n_src))  # n_src rows of n_src numbers
     conditionals = config.conditional_matrices
     for attribute in config.attributes:
         where = f"conditional_matrices.{attribute.value}"
-        m = require(where, conditionals.get(attribute), lambda m: np.shape(m) == (n_src, n_src),
-                    f"a {n_src} x {n_src} matrix, one row per source")
-        _check_matrix(np.asarray(m, dtype=float), where)
+        m = conditionals.get(attribute)
+        require(where, m.tolist() if isinstance(m, np.ndarray) else m, is_table,
+                f"a {n_src} x {n_src} matrix of numbers, one row per source")
+        _check_matrix(m, where)
     for attribute in conditionals:
         require(f"conditional_matrices.{attribute.value}", attribute,
                 config.attributes.__contains__, "one of the attributes")
 
 
-def _check_matrix(matrix: np.ndarray, field: str) -> None:
+def _check_matrix(matrix, field: str) -> None:
     """Raise ``ConfigError(field)`` unless ``matrix`` is a valid comparison matrix."""
     try:
         result = ahp.validate(matrix)

@@ -87,7 +87,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ahp
-from .errors import DomainError, is_count, is_number, is_point, is_positive, require, require_fields
+from .errors import (ConfigError, DomainError, is_count, is_number, is_positive, is_vector,
+                     require, require_fields)
 from .model import (
     Metadata,
     SourceKind,
@@ -255,7 +256,7 @@ SCENARIO_FIELDS = (
     ("duration_slots", is_count(0), "an integer >= 0"),
     ("slot_ms", is_positive, "a finite number > 0"),
     ("channel_bits_per_slot", is_count(1), "an integer >= 1"),
-    ("receiver_position", is_point, "a finite (x, y) pair"),
+    ("receiver_position", is_vector(2), "a finite (x, y) pair"),
     ("generators", lambda v: isinstance(v, (list, tuple))
      and all(isinstance(g, GeneratorSpec) for g in v), "a list of GeneratorSpec"),
 )
@@ -263,20 +264,22 @@ SCENARIO_FIELDS = (
 #: What ``validate_scenario`` requires of each field of every generator, before its source.
 GENERATOR_FIELDS = (
     ("period_slots", is_count(1), "an integer >= 1"),
-    ("size_bits", is_count(1), "an integer >= 1"),
-    ("quality", lambda v: is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
-    ("position", is_point, "a finite (x, y) pair"),
+    *Metadata.FIELDS,
+    ("position", is_vector(2), "a finite (x, y) pair"),
 )
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
     """Raise ``ConfigError`` naming the first field that fails its check.
 
-    The checks, in order: ``SCENARIO_FIELDS``, ``validate_config``, then each
-    generator's ``GENERATOR_FIELDS`` and its source (among the assessed ones).
+    The checks, in order: ``SCENARIO_FIELDS``, ``validate_config`` (as ``voi_config.<field>``),
+    then each generator's ``GENERATOR_FIELDS`` and its source (among the assessed ones).
     """
     require_fields(config, SCENARIO_FIELDS)
-    validate_config(config.voi_config)
+    try:
+        validate_config(config.voi_config)
+    except ConfigError as exc:
+        raise ConfigError("voi_config." + exc.field, exc.reason) from None
     require("slot_ms", config.duration_slots * float(config.slot_ms), is_number,
             "a finite duration_slots * slot_ms")
     sources = config.voi_config.sources

@@ -10,10 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import voinet
 import voinet.config
+import voinet.model
+import voinet.sim
 from voinet.cli import EXIT_CONFIG, EXIT_ERROR, main
 from voinet.config import load_voi_config, scenario_from_dict, voi_config_from_dict
 from voinet.errors import ConfigError
-from voinet.model import SpaceShape
+from voinet.model import SpaceShape, validate_config
 
 from conftest import REPO_ROOT
 
@@ -128,6 +130,9 @@ ESCAPES = [
     ("check", ("sources",), ["surrounding", "surrounding"], "sources"),
     ("check", ("cr_threshold",), 0, "cr_threshold"),
     ("simulate", ("slot_ms",), 10**400, "slot_ms"),
+    # A value out of range is named by its leaf, as a value of the wrong type is.
+    ("check", ("decay", "time_half_life_ms"), -5.0, "decay.time_half_life_ms"),
+    ("simulate", ("voi_config", "decay", "space_radius_m"), 0, "voi_config.decay.space_radius_m"),
 ]
 
 
@@ -174,6 +179,19 @@ UNKNOWN_KEYS = [
 @pytest.mark.parametrize("command,path,value,field", UNKNOWN_KEYS)
 def test_unknown_key_exits_2_naming_it(capsys, tmp_path, command, path, value, field):
     assert_exits_2_naming(capsys, tmp_path, command, path, value, field)
+
+
+def test_loading_a_scenario_validates_its_voi_config_once(monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return validate_config(config)
+
+    monkeypatch.setattr(voinet.model, "validate_config", counted)
+    monkeypatch.setattr(voinet.sim, "validate_config", counted)
+    voinet.config.load_scenario(OVERLOAD)
+    assert len(calls) == 1
 
 
 def test_absent_optional_fields_take_their_defaults():

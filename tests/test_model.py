@@ -83,15 +83,17 @@ def test_space_shapes_closed():
 
 
 def test_metadata_rejects_non_positive_size():
-    with pytest.raises(DomainError):
-        meta(size_bits=0)
+    # The type before the range: None or "8" must not raise TypeError, and
+    # True or 1.5 must not pass as a size.
+    for bad in (0, -1, None, "8", True, 1.5, 10**400):
+        with pytest.raises(DomainError):
+            meta(size_bits=bad)
 
 
 def test_metadata_rejects_quality_outside_unit_interval():
-    with pytest.raises(DomainError):
-        meta(quality=1.5)
-    with pytest.raises(DomainError):
-        meta(quality=-0.1)
+    for bad in (1.5, -0.1, math.nan, None, "1", True):
+        with pytest.raises(DomainError):
+            meta(quality=bad)
 
 
 def test_decay_profile_rejects_non_positive_parameters():
@@ -435,7 +437,7 @@ def test_non_reciprocal_conditional():
 def test_invalid_decay_parameters():
     doc = config_doc()
     doc["decay"]["time_half_life_ms"] = -5.0
-    expect_config_error(doc, "decay")
+    expect_config_error(doc, "decay.time_half_life_ms")  # the leaf, not its parent
 
 
 def test_unknown_application_name():
@@ -466,3 +468,25 @@ def test_validate_config_gamma_slot_below_diagonal(safety):
     with pytest.raises(ConfigError) as excinfo:
         validate_config(config)
     assert excinfo.value.field == "gamma_slot"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.0, 2.0], [0.5]], [["a", "b"], ["c", "d"]], [[1.0, object()], [1.0, 1.0]],
+     [[1.0, "2"], [0.5, 1.0]], np.array([["1", "2"], ["0.5", "1"]]), np.ones(2), 5.0],
+    ids=["ragged", "strings", "object", "numeric-string", "string-array", "vector", "scalar"],
+)
+def test_validate_config_names_a_conditional_that_is_no_table_of_numbers(safety, matrix):
+    # Checked before numpy sees it, so no ValueError or TypeError escapes.
+    config = two_source_config(dict(safety.conditional_matrices))
+    config.conditional_matrices[Attribute.SPACE_DEPENDENCY] = matrix
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(config)
+    assert excinfo.value.field == "conditional_matrices.space_dependency"
+
+
+def test_validate_config_accepts_a_conditional_as_rows_or_an_integer_array(safety):
+    for matrix in ([[1, 1], [1, 1]], ((1.0, 1.0), (1.0, 1.0)), np.ones((2, 2), dtype=int)):
+        config = two_source_config(dict(safety.conditional_matrices))
+        config.conditional_matrices[Attribute.SPACE_DEPENDENCY] = matrix
+        validate_config(config)

@@ -514,10 +514,24 @@ def test_load_corrupt_scenario(tmp_path):
         pytest.param(lambda c: setattr(c, "slot_ms", "1"), "slot_ms", id="slot-ms-str"),
         pytest.param(lambda c: setattr(c, "gamma", None), "gamma", id="gamma-none"),
         pytest.param(lambda c: setattr(c, "slot_ms", 10**400), "slot_ms", id="slot-ms-huge"),
+        # A voi-config field is named by its path from the scenario, as in a file.
         pytest.param(
             lambda c: setattr(c.voi_config, "cr_threshold", 10**400),
-            "cr_threshold",
+            "voi_config.cr_threshold",
             id="cr-threshold-huge",
+        ),
+        pytest.param(
+            lambda c: setattr(c.voi_config, "cr_threshold", -1),
+            "voi_config.cr_threshold",
+            id="cr-threshold-negative",
+        ),
+        pytest.param(lambda c: setattr(c.voi_config, "decay", 5), "voi_config.decay",
+                     id="decay-not-a-profile"),
+        pytest.param(
+            lambda c: c.voi_config.conditional_matrices.__setitem__(
+                Attribute.TIME_DEPENDENCY, [[1.0, 2.0], [0.5]]),
+            "voi_config.conditional_matrices.time_dependency",
+            id="conditional-ragged",
         ),
     ],
 )
@@ -550,7 +564,10 @@ IN_CODE_FIELDS = (
     + [(VoiConfig, f.name) for f in dataclasses.fields(VoiConfig)]
     + [(GeneratorSpec, f.name) for f in dataclasses.fields(GeneratorSpec)]
     + [(DecayProfile, f.name) for f in dataclasses.fields(DecayProfile)]
+    + [(dict, attribute) for attribute in safety_config().attributes]  # one conditional matrix
 )
+# A conditional matrix may also be replaced by a table of junk, ragged or not.
+JUNK_TABLES = st.lists(st.lists(JUNK_ITEMS, max_size=3), max_size=3)
 
 
 @settings(
@@ -559,10 +576,11 @@ IN_CODE_FIELDS = (
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(st.sampled_from(IN_CODE_FIELDS), JUNK)
+@given(st.sampled_from(IN_CODE_FIELDS), JUNK | JUNK_TABLES)
 def test_fuzzed_in_code_config_runs_or_names_the_field(target, value):
     # setattr on the mutable configs, dataclasses.replace on the frozen ones,
-    # whose constructor may reject the value itself.
+    # whose constructor may reject the value itself.  A voi-config field is
+    # named by its path from the scenario.
     kind, name = target
     config = scenario([gen(), gen(source=SourceKind.POSITION, period=2)], duration=5)
     field = name
@@ -570,15 +588,19 @@ def test_fuzzed_in_code_config_runs_or_names_the_field(target, value):
         setattr(config, name, value)
     elif kind is VoiConfig:
         setattr(config.voi_config, name, value)
+        field = f"voi_config.{name}"
     elif kind is GeneratorSpec:
         config.generators[0] = dataclasses.replace(config.generators[0], **{name: value})
         field = f"generators[0].{name}"
+    elif kind is dict:
+        config.voi_config.conditional_matrices[name] = value
+        field = f"voi_config.conditional_matrices.{name.value}"
     else:
         try:
             config.voi_config.decay = dataclasses.replace(config.voi_config.decay, **{name: value})
         except DomainError:
             return
-        field = f"decay.{name}"
+        field = f"voi_config.decay.{name}"
     try:
         validate_scenario(config)
     except ConfigError as exc:
