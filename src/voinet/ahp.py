@@ -229,9 +229,10 @@ def principal_eigenvector(
     return WeightVector(weights=weights[0], lambda_max=float(lambda_max[0]))
 
 
-def consistency_ratios(lambda_max: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CI = (lambda_max - n) / (n - 1) and CR = CI / RI(n), elementwise.
+def consistency_ratios(lambda_max: np.ndarray, n: int, threshold: float) -> tuple:
+    """CI = (lambda_max - n) / (n - 1), CR = CI / RI(n) and CR <= threshold, elementwise.
 
+    The last is the one consistency rule, so a CR at the threshold passes.
     A 2x2 reciprocal matrix is always consistent, so CR is defined as 0 for
     n = 2 (RI(2) = 0 would otherwise leave it undefined).  Dimensions beyond
     the random-index table raise ``UnsupportedDimensionError``.
@@ -242,7 +243,7 @@ def consistency_ratios(lambda_max: np.ndarray, n: int) -> tuple[np.ndarray, np.n
         )
     ci = (np.asarray(lambda_max, dtype=float) - n) / (n - 1)
     cr = np.zeros_like(ci) if n == 2 else ci / RANDOM_INDEX[n]
-    return ci, cr
+    return ci, cr, cr <= threshold
 
 
 def consistency(entries, threshold: float = DEFAULT_CR_THRESHOLD) -> ConsistencyReport:
@@ -252,12 +253,12 @@ def consistency(entries, threshold: float = DEFAULT_CR_THRESHOLD) -> Consistency
     ``WeightVector`` of one already solved, whose lambda_max is used as is.
     """
     solved = entries if isinstance(entries, WeightVector) else principal_eigenvector(entries)
-    ci, cr = consistency_ratios(solved.lambda_max, solved.weights.shape[0])
+    ci, cr, ok = consistency_ratios(solved.lambda_max, solved.weights.shape[0], threshold)
     return ConsistencyReport(
         lambda_max=solved.lambda_max,
         consistency_index=float(ci),
         consistency_ratio=float(cr),
-        is_consistent=bool(cr <= threshold),
+        is_consistent=bool(ok),
     )
 
 

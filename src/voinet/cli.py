@@ -1,39 +1,34 @@
 """Command-line entry point: config checking, gamma sweeps, simulations.
 
-Subcommands:
-
-* ``check``    validate a config and print its weights and consistency report
-* ``sweep``    score sources across a range of gamma values, emit CSV; the
-  whole range is one batched assessment (``model.assess_gammas``): one
-  power iteration over the stack of attribute matrices, one per gamma, and
-  one over the conditional matrices
-* ``simulate`` run a scenario under the value scheduler and the FIFO
-  baseline, emit a metrics CSV and optionally a transmission log
+``COMMANDS`` is the one table of the subcommands, ``check``, ``sweep`` and
+``simulate``: each one's handler, help and options.  ``parse_args`` reads
+a command line from it, and the usage and help come from it too.
+``sweep`` assesses its whole gamma range in one batch
+(``model.assess_gammas``): one power iteration over the stack of attribute
+matrices, one per gamma, and one over the conditional matrices.
 
 All emitted files are deterministic byte-for-byte given identical inputs;
 reals are formatted with six decimals.  The error's class sets the exit
-code, and ``main`` prints it as one ``error:`` line: 0 success; 2
-``ConfigError``, a config file missing, unreadable, not UTF-8 JSON or
-invalid (the message names the field), or a command line that argparse
-rejects, such as ``--steps abc`` (it prints the usage); 3 ``DomainError``
+code, and ``main`` prints it as one ``error:`` line: 0 success; 2 a
+``UsageError``, a command line the table rejects, such as ``--steps abc``
+(after the usage), or a ``ConfigError``, a config file missing, unreadable,
+not UTF-8 JSON or invalid (the message names the field); 3 ``DomainError``
 and its subclasses, an out-of-domain argument, such as a ``--log`` that
-names the ``--out`` file, or an ``--out`` or ``--log`` that names the input
-config; 1 anything else, such as an output file that cannot be written
-(``simulate`` opens ``--out`` and ``--log`` before any run, and leaves no
-``--out`` it made when ``--log`` fails) or a request too large for memory,
-such as ``sweep --steps 1000000000000000``, or a ``--steps`` above
-``MAX_STEPS``, which numpy cannot address.
-A call runs with the cyclic garbage collector paused: all it allocates but
-argparse's parser is acyclic, so collections would only rescan numpy's
-import-time objects.
+names the ``--out`` file, or an output that names the input config; 1
+anything else, such as an output file that cannot be written (``simulate``
+opens ``--out`` and ``--log`` before any run, and leaves no ``--out`` it
+made when ``--log`` fails) or a request too large for memory, such as a
+``--steps`` above ``MAX_STEPS``, which numpy cannot address.  A call runs
+with the cyclic garbage collector paused: all it allocates is acyclic, so
+collections would only rescan numpy's import-time objects.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -233,45 +228,105 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="voinet",
-        description="Score vehicular information sources and simulate value-driven dissemination.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: The default of an option every call must give.
+REQUIRED = object()
+CONFIG_OPTION = (str, REQUIRED, "path to a value-assessment config (JSON)")
 
-    p_check = sub.add_parser("check", help="validate a config and print its consistency report")
-    p_check.add_argument("--config", required=True, help="path to a value-assessment config (JSON)")
-    p_check.add_argument("--gamma", type=float, default=3.0, help="gamma to instantiate (default: 3.0)")
-    p_check.set_defaults(func=_cmd_check)
+#: command -> (handler, one-line help, options); each option is
+#: ``name -> (type, default or REQUIRED, help)``, and type ``bool`` marks a flag.
+COMMANDS = {
+    "check": (_cmd_check, "validate a config and print its consistency report", {
+        "config": CONFIG_OPTION, "gamma": (float, 3.0, "gamma to instantiate (default: 3.0)")}),
+    "sweep": (_cmd_sweep, "score sources across a gamma range, emit CSV", {
+        "config": CONFIG_OPTION,
+        "gamma-min": (float, ahp.SAATY_MIN, "lowest gamma (default: 1/9)"),
+        "gamma-max": (float, ahp.SAATY_MAX, "highest gamma (default: 9)"),
+        "steps": (int, 1000, "number of gammas, both ends included (default: 1000)"),
+        "out": (str, REQUIRED, "output CSV path"),
+        "log-space": (bool, False, "space gammas geometrically instead of linearly")}),
+    "simulate": (
+        _cmd_simulate, "run a scenario under the voi and fifo schedulers, emit metrics CSV", {
+            "scenario": (str, REQUIRED, "path to a scenario file (JSON)"),
+            "out": (str, REQUIRED, "metrics CSV path"),
+            "log": (str, None, "optional per-slot transmission log CSV path")}),
+}
 
-    p_sweep = sub.add_parser("sweep", help="score sources across a gamma range, emit CSV")
-    p_sweep.add_argument("--config", required=True, help="path to a value-assessment config (JSON)")
-    p_sweep.add_argument("--gamma-min", type=float, default=ahp.SAATY_MIN)
-    p_sweep.add_argument("--gamma-max", type=float, default=ahp.SAATY_MAX)
-    p_sweep.add_argument("--steps", type=int, default=1000)
-    p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument(
-        "--log-space", action="store_true", help="space gammas geometrically instead of linearly"
-    )
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_sim = sub.add_parser(
-        "simulate", help="run a scenario under the voi and fifo schedulers, emit metrics CSV"
-    )
-    p_sim.add_argument("--scenario", required=True, help="path to a scenario file (JSON)")
-    p_sim.add_argument("--out", required=True, help="metrics CSV path")
-    p_sim.add_argument("--log", help="optional per-slot transmission log CSV path")
-    p_sim.set_defaults(func=_cmd_simulate)
-    return parser
+class UsageError(Exception):
+    """``(command or None, message)``: a command line that ``COMMANDS`` rejects; exit 2."""
+
+
+def _usage(command, error=None) -> int:
+    """Print the usage, then ``error`` to stderr (exit 2) or, with none, the help (exit 0)."""
+    prog = f"voinet {command}" if command else "voinet"
+    if command:
+        rows = [(f"--{n}" if k is bool else f"--{n} {n.upper().replace('-', '_')}", d, text)
+                for n, (k, d, text) in COMMANDS[command][2].items()]
+        words = " ".join(word if d is REQUIRED else f"[{word}]" for word, d, _ in rows)
+    else:
+        rows = [(name, None, text) for name, (_, text, _) in COMMANDS.items()]
+        words = "{" + ",".join(COMMANDS) + "} ..."
+    print(f"usage: {prog} [-h] {words}", file=sys.stderr if error else sys.stdout)
+    if error:
+        print(f"{prog}: error: {error}", file=sys.stderr)
+        return EXIT_CONFIG
+    rows.insert(0, ("-h, --help", None, "show this help message and exit"))
+    print(*(f"  {word:<24}{text}" for word, _, text in rows), sep="\n")
+    return EXIT_OK
+
+
+def parse_args(argv) -> tuple:
+    """``(handler, its argument)`` for a command line, read from ``COMMANDS``.
+
+    An option is named in full or by a prefix of no other one, and takes the
+    next token, whatever it starts with, or the text after ``=``; a repeated
+    option keeps its last value.  Anything else raises ``UsageError``.
+    """
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return _usage, None
+    if command not in COMMANDS:
+        raise UsageError(None, f"argument command: invalid choice: {command!r} (choose from "
+                         f"{', '.join(map(repr, COMMANDS))})" if command else
+                         "the following arguments are required: command")
+    handler, _, options = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    tokens = iter(tokens)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        key = name[2:] if name.startswith("--") else ""
+        found = [key] if key in options else [
+            n for n in (*options, "help") if key and n.startswith(key)]
+        if token == "-h" or found == ["help"]:
+            return _usage, command
+        if len(found) != 1:
+            raise UsageError(command, f"unrecognized arguments: {token}" if not found else
+                             f"ambiguous option: {name} could match --" + ", --".join(found))
+        (key,) = found
+        kind, argument = options[key][0], f"argument --{key}"
+        if kind is bool and eq:
+            raise UsageError(command, f"{argument}: ignored explicit argument {value!r}")
+        if kind is not bool and not eq and (value := next(tokens, None)) is None:
+            raise UsageError(command, f"{argument}: expected one argument")
+        try:
+            values[key] = True if kind is bool else kind(value)
+        except ValueError:
+            message = f"{argument}: invalid {kind.__name__} value: {value!r}"
+            raise UsageError(command, message) from None
+    missing = ", ".join(f"--{name}" for name, value in values.items() if value is REQUIRED)
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {missing}")
+    return handler, SimpleNamespace(**{name.replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(args)
+    except UsageError as exc:
+        return _usage(*exc.args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -248,7 +248,7 @@ def assess_gammas(config: VoiConfig, gammas) -> Assessment:
     """
     matrices = instantiate_matrices(config, gammas)
     weights, lambda_max = ahp.principal_eigenvectors(matrices)
-    _, cr = ahp.consistency_ratios(lambda_max, matrices.shape[-1])
+    _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], config.cr_threshold)
     conditional, _ = ahp.principal_eigenvectors(
         [config.conditional_matrices[attribute] for attribute in config.attributes]
     )
@@ -256,7 +256,7 @@ def assess_gammas(config: VoiConfig, gammas) -> Assessment:
         attribute_weights=weights,
         lambda_max=lambda_max,
         consistency_ratio=cr,
-        is_consistent=cr <= config.cr_threshold,
+        is_consistent=ok,
         scores=ahp.synthesize(weights, conditional),
     )
 

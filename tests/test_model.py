@@ -471,6 +471,23 @@ def test_validate_config_gamma_slot_below_diagonal(safety):
 
 
 @pytest.mark.parametrize(
+    ("slot", "ok"),
+    [((0, 1), True), ((0, 2), True), ((0, 0), False), ((1, 0), False), ((1, 3), False)],
+)
+def test_validate_config_takes_a_gamma_slot_only_above_the_diagonal(safety, slot, ok):
+    # The slot's edges: row 0 and column n - 1 are in; the diagonal, below it
+    # and column n are out.  Flipping any one of the three comparisons in
+    # 0 <= i < j < n between < and <= lets one of these through or turns one away.
+    config = dataclasses.replace(safety, attribute_matrix=np.ones((3, 3)), gamma_slot=slot)
+    if ok:
+        validate_config(config)
+    else:
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(config)
+        assert excinfo.value.field == "gamma_slot"
+
+
+@pytest.mark.parametrize(
     "matrix",
     [[[1.0, 2.0], [0.5]], [["a", "b"], ["c", "d"]], [[1.0, object()], [1.0, 1.0]],
      [[1.0, "2"], [0.5, 1.0]], np.array([["1", "2"], ["0.5", "1"]]), np.ones(2), 5.0],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from voinet import sim
+from voinet import ahp, sim
 from voinet.config import load_scenario
 from voinet.errors import ConfigError, DomainError
 from voinet.model import (
@@ -541,6 +541,17 @@ def test_scenario_validation_names_field(mutate, field):
     with pytest.raises(ConfigError) as excinfo:
         validate_scenario(config)
     assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize("gamma", [ahp.SAATY_MIN, ahp.SAATY_MAX])
+def test_scenario_gamma_is_valid_at_each_saaty_bound_and_not_one_float_beyond(gamma):
+    # Either bound of SCENARIO_FIELDS' check made strict would turn its end
+    # of the scale away; the float just beyond each end is out.
+    validate_scenario(scenario([gen()], gamma=gamma))
+    outside = math.nextafter(gamma, 0.0 if gamma < 1 else math.inf)
+    with pytest.raises(ConfigError) as excinfo:
+        validate_scenario(scenario([gen()], gamma=outside))
+    assert excinfo.value.field == "gamma"
 
 
 # --- in-code configs: any one field replaced by any value -------------------
