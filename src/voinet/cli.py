@@ -37,7 +37,7 @@ from . import ahp
 from .errors import ConfigError, DomainError, VoinetError
 from .config import load_scenario, load_voi_config
 from .model import VoiConfig, assess_gammas
-from .sim import TransmissionLogWriter, run
+from .sim import TransmissionLogWriter, initial_state, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -179,9 +179,10 @@ def _cmd_simulate(args) -> int:
     _reject_same_file(args, ("log", "out"), ("out", "scenario"), ("log", "scenario"))
     scenario = load_scenario(args.scenario)
     sources = scenario.voi_config.sources
+    prepared = initial_state(scenario)  # validated, assessed and its constants computed once
     # --out, then --log, is opened before any run, so a file that cannot be
     # written fails first; an --out made here goes again if --log fails.
-    # Only the voi log is ever written, and only with --log: row by row, as
+    # Only the voi log is ever written, and only with --log: in batches, as
     # the run sends, so no record is kept.
     made_out = not os.path.lexists(args.out)
     with open(args.out, "w", encoding="utf-8", newline="") as out:
@@ -193,11 +194,11 @@ def _cmd_simulate(args) -> int:
                 os.remove(args.out)
             raise
         if fh is None:
-            voi = run(scenario, "voi", log=False)
+            voi = run(prepared, "voi", log=False)
         else:
             with fh:
-                voi = run(scenario, "voi", log=TransmissionLogWriter(fh))
-        results = {"voi": voi, "fifo": run(scenario, "fifo", log=False)}
+                voi = run(prepared, "voi", log=TransmissionLogWriter(fh))
+        results = {"voi": voi, "fifo": run(prepared, "fifo", log=False)}
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
         header += [f"delivered_{s.value}" for s in sources]
         header += ["delivered_value", "mean_age_ms", "max_age_ms", "utilization"]

@@ -66,14 +66,19 @@ thousand half-lives, so a slot before ``_first_drop_slot``, the first at
 which a live generator's slot-0 message would be worth 0, checks no drops.
 
 A run's state is one ``SimState``, whose private attributes hold the
-per-run generator constants and the lanes.  A run is one loop over its
-slots (``_advance``) that binds them and the decay helpers once and keeps
-the counters in locals until it returns; ``step`` is its one-slot case.
-A log is any object with ``write_row(slot, message_id, source,
-effective_voi, size_bits)``, called once per send with the ``SourceKind``:
-``TransmissionRecords`` keeps a ``TransmissionRecord``, and
-``TransmissionLogWriter`` writes the row with one f-string (formatting the
-member's ``_value_``, cheaper than ``Enum.value``), building no record.
+scenario's generator constants and the run's lanes.  ``initial_state``
+validates and assesses a scenario and computes the constants once; ``run``
+from that state runs on a copy with its own lanes and counters, so each
+policy's run shares and only reads them (``cli`` prepares once for both).
+A run is one loop over its slots (``_advance``) that binds them and the
+decay helpers once and keeps the counters in locals until it returns;
+``step`` is its one-slot case.  A log is any object with
+``write_row(slot, message_id, source, effective_voi, size_bits)``, called
+once per send with the ``SourceKind``, and an optional ``flush()``, called
+when the loop returns: ``TransmissionRecords`` keeps a
+``TransmissionRecord``, and ``TransmissionLogWriter`` buffers the fields
+(the member's ``_value_``, cheaper than ``Enum.value``) and writes at most
+``BATCH_ROWS`` rows at a time, building no record.
 
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
@@ -83,6 +88,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -190,7 +196,8 @@ class SimState:
 
     Public: the run's counters so far and ``log``, which gets each send
     through its ``write_row`` (``TransmissionRecords`` by default, ``None``
-    for no log).  Private: the per-run generator constants and the lanes.
+    for no log).  Private: the scenario's generator constants, shared by
+    the runs that ``run`` starts from this state, and the lanes.
     ``_slots[k]`` holds the generation slots of generator ``k``'s queued
     messages, oldest first, exactly at slot boundaries (within a slot, a
     message that arrives in an empty lane joins it only when the slot ends
@@ -205,9 +212,6 @@ class SimState:
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
         self.config, self.base_scores = config, base_scores
-        self.slot = self.generated = self.dropped = self.transmitted_bits = 0
-        self.delivered_value = self.ages_sum_ms = self.age_max_ms = 0.0
-        self.log: TransmissionRecords | TransmissionLogWriter | None = TransmissionRecords()
         profile = config.voi_config.decay
         generators = config.generators
         self._sources = [gen.source for gen in generators]
@@ -238,9 +242,17 @@ class SimState:
             (period, len(indices), [k for k in indices if fresh[k] > 0.0])
             for period, indices in _period_groups(generators)
         ]
-        self._slots: list[deque[int]] = [deque() for _ in generators]
+        self._start()
+
+    def _start(self) -> SimState:
+        """Put the run at slot 0: zeroed counters, a ``TransmissionRecords`` log, empty lanes."""
+        self.slot = self.generated = self.dropped = self.transmitted_bits = 0
+        self.delivered_value = self.ages_sum_ms = self.age_max_ms = 0.0
+        self.log: TransmissionRecords | TransmissionLogWriter | None = TransmissionRecords()
+        self._slots: list[deque[int]] = [deque() for _ in self._sizes]
         self._carried: list[int] = []
-        self._delivered = [0] * len(generators)
+        self._delivered = [0] * len(self._sizes)
+        return self
 
     @property
     def queue(self) -> _QueueView:
@@ -449,6 +461,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
     state.age_max_ms, state._carried = age_max_ms, carried
     state.slot = end
+    if hasattr(state.log, "flush"):  # a run or step leaves every row it sent in the file
+        state.log.flush()
 
 
 def step(state: SimState, policy: str = "voi") -> SimState:
@@ -492,11 +506,13 @@ def _finalize(state: SimState) -> SimMetrics:
 
 
 def run(
-    config: ScenarioConfig, policy: str = "voi", log: bool | TransmissionLogWriter = True
+    config: ScenarioConfig | SimState, policy: str = "voi", log: bool | TransmissionLogWriter = True
 ) -> tuple[SimMetrics, TransmissionRecords | TransmissionLogWriter | None]:
     """Run the scenario end to end: its metrics and transmission log, deterministic.
 
-    The run is one loop over all slots; ``step`` is its one-slot case.
+    ``config`` is a scenario, validated and assessed first, or a prepared
+    ``SimState``, which the run copies and leaves unchanged.  The run is one
+    loop over all slots; ``step`` is its one-slot case.
     With ``log=True`` the log is a ``TransmissionRecords`` list of the
     records.  With ``log=False`` no record is built and the log returned is
     ``None``.  Any other ``log``, such as a ``TransmissionLogWriter``, gets
@@ -504,32 +520,47 @@ def run(
     returned.
     """
     _check_policy(policy)  # reject unknown policies before running
-    state = initial_state(config)
+    state = copy(config)._start() if isinstance(config, SimState) else initial_state(config)
     state.log = TransmissionRecords() if log is True else None if log is False else log
-    _advance(state, policy, config.duration_slots)
+    _advance(state, policy, state.config.duration_slots)
     return _finalize(state), state.log
 
 
 class TransmissionLogWriter:
-    """A transmission log that writes each send to ``fh`` as a CSV row, keeping none.
+    """A transmission log that writes the sends to ``fh`` as CSV rows, keeping at most a batch.
 
-    No field holds a comma, quote or line break, so a row formatted directly
-    is the bytes ``csv.writer(fh, lineterminator="\\n")`` would write.
+    The rows are written with one ``fh.write`` once ``BATCH_ROWS`` are held,
+    and on ``flush``.  No field holds a comma, quote or line break, so they
+    are the bytes ``csv.writer(fh, lineterminator="\\n")`` would write.
     """
+
+    BATCH_ROWS = 256  #: the most rows held before they are written
 
     def __init__(self, fh):
         self._write = fh.write
+        self._fields = []
         self._write("slot,message_id,source,effective_voi,size_bits\n")
 
     def write_row(
         self, slot: int, message_id: int, source: SourceKind, effective_voi: float, size_bits: int
     ) -> None:
-        """Write one row from its fields; the source is written as its value."""
-        self._write(f"{slot},{message_id},{source._value_},{effective_voi:.6f},{size_bits}\n")
+        """Buffer one row from its fields; the source is written as its value."""
+        fields = self._fields
+        fields += slot, message_id, source._value_, effective_voi, size_bits
+        if len(fields) >= 5 * self.BATCH_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the buffered rows (``%.6f`` is ``f"{x:.6f}"``)."""
+        fields = self._fields
+        if fields:
+            self._write("%d,%d,%s,%.6f,%d\n" * (len(fields) // 5) % tuple(fields))
+            fields.clear()
 
 
 def write_transmission_log(records: list[TransmissionRecord], fh) -> None:
     """CSV log: slot, message id, source kind, effective value, size."""
-    write_row = TransmissionLogWriter(fh).write_row
+    writer = TransmissionLogWriter(fh)
     for r in records:
-        write_row(*r)
+        writer.write_row(*r)
+    writer.flush()

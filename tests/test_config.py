@@ -4,6 +4,7 @@ import contextlib
 import copy
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +15,7 @@ import voinet.model
 import voinet.sim
 from voinet.cli import EXIT_CONFIG, EXIT_ERROR, main
 from voinet.config import load_voi_config, scenario_from_dict, voi_config_from_dict
-from voinet.errors import ConfigError
+from voinet.errors import ConfigError, is_count, is_number
 from voinet.model import SpaceShape, validate_config
 
 from conftest import REPO_ROOT
@@ -243,6 +244,31 @@ def test_unreadable_config_exits_2(capsys, monkeypatch, tmp_path, make_path):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {path}: ")
     assert "Traceback" not in err
+
+
+def test_missing_config_names_the_reason_alone(tmp_path):
+    # The reason is the OS's text, not the exception's repr with its errno and path.
+    path = tmp_path / "missing.json"
+    with pytest.raises(ConfigError) as excinfo:
+        load_voi_config(path)
+    assert excinfo.value.field == str(path)
+    assert excinfo.value.reason == "cannot read file: No such file or directory"
+
+
+FLOAT_MAX = sys.float_info.max
+LARGEST_INT = int(FLOAT_MAX)  # the largest int a float holds exactly
+
+
+def test_a_number_is_any_value_in_the_float_range_and_no_int_beyond():
+    for value in (FLOAT_MAX, -FLOAT_MAX, LARGEST_INT, -LARGEST_INT):
+        assert is_number(value), value
+    for value in (LARGEST_INT + 1, -LARGEST_INT - 1):
+        assert not is_number(value), value
+
+
+def test_a_count_ends_at_the_largest_int_a_float_holds():
+    assert is_count(1)(LARGEST_INT)
+    assert not is_count(1)(LARGEST_INT + 1)
 
 
 @pytest.mark.parametrize(

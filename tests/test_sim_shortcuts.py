@@ -1,7 +1,8 @@
 """The simulator's shortcuts: no drop check before the first slot that can
 drop, no pop once nothing fits, a slot that visits only the lanes the last
-one left queued, no lane for a message sent in the slot it arrives, and log
-rows formatted without the csv module.
+one left queued, no lane for a message sent in the slot it arrives, log
+rows formatted without the csv module and written in batches, and a
+scenario prepared once for every policy run.
 
 Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
 drops; that slot must be the first at which some live generator's slot-0
@@ -10,15 +11,21 @@ below ``SimState._smallest_size`` a step pops no more keys from its sorted
 worklist.  ``SimState._carried``, the lanes the next slot starts from, must
 name every non-empty lane once and no other lane.  A message that arrives
 in an empty lane and is sent in the same slot is never appended to the
-lane.  ``TransmissionLogWriter`` writes each row with one ``fh.write``; its
-bytes must equal what ``csv.writer`` writes for the same rows.
+lane.  ``TransmissionLogWriter`` writes its rows in batches of at most
+``BATCH_ROWS``; its bytes must equal what ``csv.writer`` writes for the
+same rows.  Runs started from one prepared ``SimState`` must each equal a
+run of a fresh copy of the scenario, and ``voinet simulate`` must validate
+and assess its scenario once for both policies.
 """
 
+import copy
 import csv
 import dataclasses
+import importlib
 import io
 import math
 import struct
+import sys
 from collections import deque
 
 import numpy as np
@@ -26,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import sim
+from voinet.cli import main
 from voinet.config import load_scenario
 from voinet.model import (
     ApplicationKind,
@@ -51,6 +59,7 @@ from oracles import reference_initial_state, reference_step
 from test_sim_reference import (
     HALF_LIFE_MS,
     fleet,
+    fuzz_scenarios,
     gen,
     oversized_scenario,
     scenario,
@@ -493,3 +502,138 @@ def test_transmission_record_is_immutable():
             setattr(record, name, 0)
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+class CountedWrites(io.StringIO):
+    """A file that records how many rows each ``write`` call holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        self.rows.append(text.count("\n"))
+        return super().write(text)
+
+
+def batches(rows):
+    """The rows of each ``write`` of a log of ``rows`` rows: header, full batches, the rest."""
+    full, rest = divmod(rows, TransmissionLogWriter.BATCH_ROWS)
+    return [1] + [TransmissionLogWriter.BATCH_ROWS] * full + [rest] * bool(rest)
+
+
+@pytest.mark.parametrize("name", ["overload-800", "exactly-one-batch"])
+def test_log_writer_writes_bounded_batches(name, configs_dir, monkeypatch):
+    # 1600 rows make six full batches and a rest of 64, written when the run
+    # returns; 256 rows make one full batch and leave nothing to flush.
+    config = {
+        "overload-800": lambda: dataclasses.replace(
+            load_scenario(configs_dir / "overload_scenario.json"), duration_slots=800
+        ),
+        "exactly-one-batch": lambda: scenario([gen()], duration=TransmissionLogWriter.BATCH_ROWS),
+    }[name]()
+    _, records = run(config, "voi")
+    assert len(records) == {"overload-800": 1600, "exactly-one-batch": 256}[name]
+    held = []
+    write_row = TransmissionLogWriter.write_row
+
+    def counted(self, *fields):
+        write_row(self, *fields)
+        held.append(len(self._fields))
+
+    monkeypatch.setattr(TransmissionLogWriter, "write_row", counted)
+    fh = CountedWrites()
+    writer = TransmissionLogWriter(fh)
+    assert run(config, "voi", log=writer)[1] is writer
+    assert fh.getvalue() == csv_log(records)
+    assert fh.rows == batches(len(records))
+    assert len(held) == len(records) and max(held) < 5 * TransmissionLogWriter.BATCH_ROWS
+    fh = CountedWrites()
+    write_transmission_log(records, fh)
+    assert fh.getvalue() == csv_log(records)
+    assert fh.rows == batches(len(records))
+
+
+# --- the prepared scenario ----------------------------------------------------
+
+
+def assert_runs_from_one_state_equal_fresh_runs(config):
+    # voi, fifo, then voi again from one prepared state: a lane, counter or
+    # constant that one run left on what the runs share would change a later
+    # run.  Each is compared with a run of a deep copy of the scenario.
+    prepared = initial_state(config)
+    for policy in ("voi", "fifo", "voi"):
+        metrics, records = run(prepared, policy)
+        assert type(records) is sim.TransmissionRecords
+        assert (metrics, records) == run(copy.deepcopy(config), policy), policy
+        assert run(prepared, policy, log=False) == (metrics, None), policy
+    assert prepared.slot == prepared.generated == prepared.dropped == 0
+    assert prepared.log == [] and prepared._carried == [] and not any(prepared._delivered)
+    assert len(prepared.queue) == 0
+
+
+@pytest.mark.parametrize("name", ["overload", "overload-800", "fleet-0", "fleet-1-tied"])
+def test_runs_from_one_prepared_state_equal_fresh_runs(name, configs_dir):
+    config = {
+        "overload": lambda: load_scenario(configs_dir / "overload_scenario.json"),
+        "overload-800": lambda: dataclasses.replace(
+            load_scenario(configs_dir / "overload_scenario.json"), duration_slots=800
+        ),
+        "fleet-0": lambda: fleet(0),
+        "fleet-1-tied": lambda: fleet(1, 1e-14),  # equal-value runs within a lane
+    }[name]()
+    assert_runs_from_one_state_equal_fresh_runs(config)
+
+
+@settings(
+    max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(config=fuzz_scenarios())
+def test_fuzzed_runs_from_one_prepared_state_equal_fresh_runs(config):
+    assert_runs_from_one_state_equal_fresh_runs(config)
+
+
+def test_a_run_from_a_prepared_state_does_not_validate(configs_dir, monkeypatch):
+    config = load_scenario(configs_dir / "overload_scenario.json")
+    prepared = initial_state(config)
+    expected = run(config, "fifo")
+
+    def refused(config):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(sim, "validate_scenario", refused)
+    assert run(prepared, "fifo") == expected
+    with pytest.raises(AssertionError, match="validated again"):
+        run(config, "fifo")  # a scenario built in code is still validated
+
+
+#: Calls of one ``voinet simulate --log`` of the bundled overload scenario:
+#: the load and the one preparation validate, and one assessment solves
+#: the attribute and the conditional matrices.
+SIMULATE_CALLS = {
+    "sim.validate_scenario": 2,
+    "model.validate_config": 2,
+    "ahp.validate": 9,
+    "model.source_scores": 1,
+    "ahp.principal_eigenvectors": 2,
+}
+
+
+def test_simulate_validates_and_assesses_once_for_both_policies(configs_dir, tmp_path, monkeypatch):
+    calls = dict.fromkeys(SIMULATE_CALLS, 0)
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("voinet.")]
+    for name in SIMULATE_CALLS:
+        module, attr = name.split(".")
+        original = getattr(importlib.import_module("voinet." + module), attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:  # every module that binds it, as the tracer wraps them
+            for bound in [a for a, v in vars(m).items() if v is original]:
+                monkeypatch.setattr(m, bound, counted)
+    argv = ["simulate", "--scenario", str(configs_dir / "overload_scenario.json"),
+            "--out", str(tmp_path / "out.csv"), "--log", str(tmp_path / "log.csv")]
+    assert main(argv) == 0
+    assert calls == SIMULATE_CALLS
