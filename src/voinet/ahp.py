@@ -181,36 +181,48 @@ def principal_eigenvectors(
     row sum ``w[0] + w[1] + ...``, over contiguous ``(n, G)`` arrays, left
     to right.  Nothing is fused, and no BLAS kernel or pairwise sum picks
     the order, so every row rounds as a scalar loop over its matrix does,
-    on any CPU.  Converged rows are copied out under a mask, not compacted.
+    on any CPU.  A row's weights are copied out once, at the step it
+    converges.  Once at most half the columns iterated are still running,
+    the columns are cut to those (so at most log2(G) times), and no step
+    iterates more than twice the rows still running.
     """
     m = as_stack(stack)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     g, n = m.shape[0], m.shape[-1]
     cols = np.ascontiguousarray(m.transpose(2, 1, 0))
     weights = np.empty((n, g))
-    running = np.ones(g, dtype=bool)
+    # Column k of live, v and residual is stack row rows[k]; left rows still run.
+    live, rows, running, left = cols, np.arange(g), np.ones(g, dtype=bool), g
     v = np.full((n, g), 1.0 / n)
     residual = np.full(g, np.inf)
     for _ in range(max_iter):
-        if not running.any():
+        if not left:
             break
-        w = _dot(cols, v)
+        w = _dot(live, v)
         w /= reduce(np.add, w)
         residual = np.abs(w - v).max(axis=0)
         v = w
         done = residual < tol
         done &= running
-        np.copyto(weights, v, where=done)
-        running &= ~done
-    if running.any():
-        row = int(np.argmax(running))
-        where = f"row {row} " if g > 1 else ""
+        converged = done.nonzero()[0]
+        if converged.size:
+            weights[:, rows[converged]] = v.take(converged, axis=-1)
+            running ^= done
+            left -= converged.size
+            if left and 2 * left <= running.size:
+                keep = running.nonzero()[0]
+                live, v, rows, residual, running = (
+                    a.take(keep, axis=-1) for a in (live, v, rows, residual, running)
+                )
+    if left:
+        k = int(np.argmax(running))  # rows stays sorted: the first stack row running
+        where = f"row {rows[k]} " if g > 1 else ""
         raise ConvergenceError(
             f"power iteration {where}did not converge within {max_iter} iterations "
-            f"(last residual {residual[row]:.3e})",
-            last_iterate=v[:, row].copy(),
-            residual=float(residual[row]),
+            f"(last residual {residual[k]:.3e})",
+            last_iterate=v[:, k].copy(),
+            residual=float(residual[k]),
             iterations=max_iter,
         )
     lambda_max = reduce(np.add, _dot(cols, weights) / weights) / n
@@ -288,11 +300,11 @@ def synthesize(attribute_weights, conditional) -> np.ndarray:
     if np.any(w < 0.0) or np.any(c < 0.0):
         raise DomainError("weights must be non-negative")
     sums = np.atleast_1d(w.sum(axis=-1))
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_ATOL)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_ATOL))
     if bad.size:
         raise DomainError(f"attribute weights sum to {float(sums[bad[0]])!r}, expected 1")
     row_sums = c.sum(axis=1)
-    bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_ATOL)[0]
+    bad = np.flatnonzero(~(np.abs(row_sums - 1.0) <= ROW_SUM_ATOL))
     if bad.size:
         raise DomainError(
             f"conditional row {bad[0]} sums to {float(row_sums[bad[0]])!r}, expected 1"

@@ -28,6 +28,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -86,7 +87,9 @@ def gamma_sweep(
         raise DomainError(f"unknown spacing {spacing!r}; expected 'linear' or 'log'")
     assessment = assess_gammas(config, gammas)
     cr, ok = assessment.consistency_ratio.tolist(), assessment.is_consistent.tolist()
-    return list(map(SweepRow, gammas.tolist(), cr, ok, map(tuple, assessment.scores.tolist())))
+    rows = zip(gammas.tolist(), cr, ok, map(tuple, assessment.scores.tolist()))
+    # tuple.__new__ makes each SweepRow without a Python-level __new__ call.
+    return list(map(partial(tuple.__new__, SweepRow), rows))
 
 
 def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:

@@ -208,6 +208,12 @@ def test_eigenvector_rejects_non_positive_tolerance():
         ahp.principal_eigenvector(template(3.0), tol=0.0)
 
 
+def test_eigenvector_rejects_nan_tolerance():
+    # No residual is below NaN, so a NaN tolerance would iterate to max_iter.
+    with pytest.raises(DomainError, match="^tolerance must be positive, got nan$"):
+        ahp.principal_eigenvector([[1.0, 2.0], [0.5, 1.0]], tol=float("nan"))
+
+
 @given(consistent_cases())
 @settings(deadline=None)
 def test_consistent_matrix_recovers_vector(case):
@@ -327,6 +333,16 @@ def test_synthesize_rejects_bad_row_sum():
         ahp.synthesize([0.5, 0.5], [[0.9, 0.2], [0.3, 0.7]])
     with pytest.raises(DomainError, match=r"^attribute weights sum to 1\.2, expected 1$"):
         ahp.synthesize([[0.5, 0.5], [0.6, 0.6]], [[0.9, 0.1], [0.3, 0.7]])
+
+
+def test_synthesize_rejects_nan_weights():
+    nan = float("nan")
+    with pytest.raises(DomainError, match=r"^attribute weights sum to nan, expected 1$"):
+        ahp.synthesize([nan, 1.0], [[0.9, 0.1], [0.3, 0.7]])
+    with pytest.raises(DomainError, match=r"^attribute weights sum to nan, expected 1$"):
+        ahp.synthesize([[0.5, 0.5], [nan, 1.0]], [[0.9, 0.1], [0.3, 0.7]])
+    with pytest.raises(DomainError, match=r"^conditional row 1 sums to nan, expected 1$"):
+        ahp.synthesize([0.5, 0.5], [[0.9, 0.1], [nan, 0.7]])
 
 
 def test_synthesize_rejects_negative_weight():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from voinet import ahp
-from voinet.cli import consistent_region, gamma_sweep, main
+from voinet.cli import SweepRow, consistent_region, gamma_sweep, main
 from voinet.config import load_voi_config
 from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
 from voinet.model import assess, assess_gammas, instantiate_matrices, instantiate_matrix
@@ -85,6 +85,57 @@ def test_empty_stack_solves_to_nothing():
     assert lambda_max.shape == (0,)
 
 
+def count_columns(monkeypatch):
+    """Patch ``ahp._dot`` to record the number of columns of each product it forms."""
+    columns = []
+    dot = ahp._dot
+
+    def counted(a, b):
+        columns.append(b.shape[-1])
+        return dot(a, b)
+
+    monkeypatch.setattr(ahp, "_dot", counted)
+    return columns
+
+
+def test_empty_stack_does_not_iterate(monkeypatch):
+    columns = count_columns(monkeypatch)
+    ahp.principal_eigenvectors(np.ones((0, 3, 3)))
+    assert len(columns) <= 1
+
+
+def test_convergence_error_after_compactions_names_the_stack_row(monkeypatch):
+    # Ten 4x4 matrices that converge at different steps, and the slowest one
+    # in the middle of the stack, still running when the rest are done.
+    rng = np.random.default_rng(11)
+    matrices = [random_reciprocal(rng, 4) for _ in range(12)]
+    steps = [scalar_power_iteration(m)[2] for m in matrices]
+    order = np.argsort(steps, kind="stable")
+    stuck = matrices[order[-1]]
+    others = [matrices[k] for k in order[:9]]
+    max_iter = max(steps[k] for k in order[:9]) + 1
+    assert max_iter < steps[order[-1]]
+    with pytest.raises(ConvergenceError) as expected:
+        scalar_power_iteration(stuck, max_iter=max_iter)
+    columns = count_columns(monkeypatch)
+    with pytest.raises(ConvergenceError, match="row 5 ") as excinfo:
+        ahp.principal_eigenvectors(np.stack(others[:5] + [stuck] + others[5:]), max_iter=max_iter)
+    assert len(set(columns)) >= 3  # compacted at least twice
+    err = excinfo.value
+    assert err.iterations == max_iter
+    assert err.residual == expected.value.residual
+    assert np.array_equal(err.last_iterate, expected.value.last_iterate)
+
+
+def test_sweep_solve_iterates_at_most_twice_the_running_rows(monkeypatch, bundled):
+    stack = instantiate_matrices(bundled, np.linspace(1.0 / 9.0, 9.0, 1000))
+    oracle_steps = sum(scalar_power_iteration(matrix)[2] for matrix in stack)
+    assert oracle_steps == 14_687
+    columns = count_columns(monkeypatch)
+    ahp.principal_eigenvectors(stack)
+    assert sum(columns) <= 2 * oracle_steps
+
+
 def test_stack_convergence_error_carries_the_stuck_row():
     consistent, _ = random_consistent(np.random.default_rng(5), 3)
     stuck = np.array([[1.0, 1.0, 3.0], [1.0, 1.0, 1.0 / 3.0], [1.0 / 3.0, 3.0, 1.0]])
@@ -127,6 +178,14 @@ def test_sweep_rows_equal_one_gamma_assessments(bundled, sweep):
         assert row.scores == tuple(float(s) for s in scores), row.gamma
         assert row.cr == report.consistency_ratio, row.gamma
         assert row.is_consistent == report.is_consistent, row.gamma
+
+
+def test_sweep_rows_are_sweep_rows(sweep):
+    for row in sweep:
+        assert type(row) is SweepRow
+        assert row == SweepRow(row.gamma, row.cr, row.is_consistent, row.scores)
+        assert (type(row.gamma), type(row.cr), type(row.is_consistent)) == (float, float, bool)
+        assert type(row.scores) is tuple
 
 
 def test_sweep_scores_are_left_to_right_sums(bundled):
