@@ -183,7 +183,6 @@ def test_sweep_rows_equal_one_gamma_assessments(bundled, sweep):
 def test_sweep_rows_are_sweep_rows(sweep):
     for row in sweep:
         assert type(row) is SweepRow
-        assert row == SweepRow(row.gamma, row.cr, row.is_consistent, row.scores)
         assert (type(row.gamma), type(row.cr), type(row.is_consistent)) == (float, float, bool)
         assert type(row.scores) is tuple
 
