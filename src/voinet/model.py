@@ -8,9 +8,10 @@ per-attribute comparison matrices, and synthesize the two into one score
 per source.  Assessed (base) value is then modulated at read time by
 time, space, and quality decay.
 
-Configs are plain dataclasses (``voinet.config`` reads them from JSON);
-the attribute matrix may leave one above-diagonal cell open (the
-``gamma`` slot) to be filled per assessment.  ``assess_gammas`` assesses
+Configs are plain data that ``voinet.config`` reads from JSON or a caller
+builds in code; ``validate_config`` checks them, every comparison matrix
+by one rule.  The attribute matrix may leave one above-diagonal cell open
+(the ``gamma`` slot) to be filled per assessment.  ``assess_gammas`` assesses
 many gammas in one batched solve; ``assess`` is its one-gamma case.
 """
 
@@ -102,28 +103,23 @@ class DecayProfile(_Checked):
 
 @dataclass
 class VoiConfig:
-    """Application profile for value assessment.
+    """Application profile for value assessment: plain data, which ``validate_config`` checks.
 
     ``attribute_matrix`` is the pairwise comparison matrix over
     ``attributes``; if ``gamma_slot`` names an above-diagonal cell, that
     cell (and its implied reciprocal) is substituted per assessment.
     ``conditional_matrices`` holds one comparison matrix over ``sources``
-    per attribute.
+    per attribute, each as rows of numbers or an array, kept as given.
     """
 
     application: ApplicationKind
-    attributes: tuple[Attribute, ...]
-    sources: tuple[SourceKind, ...]
-    attribute_matrix: np.ndarray
-    conditional_matrices: dict[Attribute, np.ndarray]
+    attributes: list[Attribute]
+    sources: list[SourceKind]
+    attribute_matrix: np.ndarray | list[list[float]]
+    conditional_matrices: dict[Attribute, np.ndarray | list[list[float]]]
     decay: DecayProfile
     gamma_slot: tuple[int, int] | None = None
     cr_threshold: float = ahp.DEFAULT_CR_THRESHOLD
-
-    def __post_init__(self):
-        self.attributes = tuple(self.attributes)
-        self.sources = tuple(self.sources)
-        self.attribute_matrix = np.asarray(self.attribute_matrix, dtype=float)
 
 
 def _distinct(cls):
@@ -134,6 +130,7 @@ def _distinct(cls):
 
 #: What ``validate_config`` requires of the fields it checks before the matrices.
 CONFIG_FIELDS = (
+    ("application", lambda v: isinstance(v, ApplicationKind), "an ApplicationKind"),
     ("attributes", _distinct(Attribute), "at least 2 distinct attributes"),
     ("sources", _distinct(SourceKind), "at least 2 distinct sources"),
     ("conditional_matrices", lambda v: isinstance(v, dict)
@@ -147,46 +144,44 @@ def validate_config(config: VoiConfig) -> None:
     """Check config-level invariants, raising ``ConfigError`` naming the field."""
     require_fields(config, CONFIG_FIELDS)
     _template(config)
-    n_src = len(config.sources)
-    is_table = is_vector(n_src, is_vector(n_src))  # n_src rows of n_src numbers
-    conditionals = config.conditional_matrices
     for attribute in config.attributes:
-        where = f"conditional_matrices.{attribute.value}"
-        m = conditionals.get(attribute)
-        require(where, m.tolist() if isinstance(m, np.ndarray) else m, is_table,
-                f"a {n_src} x {n_src} matrix of numbers, one row per source")
-        _check_matrix(m, where)
-    for attribute in conditionals:
+        _comparison_matrix(config.conditional_matrices.get(attribute), len(config.sources),
+                           f"conditional_matrices.{attribute.value}")
+    for attribute in config.conditional_matrices:
         require(f"conditional_matrices.{attribute.value}", attribute,
                 config.attributes.__contains__, "one of the attributes")
 
 
-def _check_matrix(matrix, field: str) -> None:
-    """Raise ``ConfigError(field)`` unless ``matrix`` is a valid comparison matrix."""
+def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
+    """``value`` as a new float array, with ``slot`` and its mirror set to 1.
+
+    The one rule for both kinds of matrix: n rows of n numbers, as lists,
+    tuples or an array, checked before numpy converts them, that
+    ``ahp.validate`` then accepts; anything else is ``ConfigError(field)``.
+    """
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    m = np.array(require(field, rows, is_vector(n, is_vector(n)),
+                         f"{n} rows of {n} numbers (it must be square)"), dtype=float)
+    if slot is not None:
+        m[slot] = m[slot[::-1]] = 1.0
     try:
-        result = ahp.validate(matrix)
-    except DomainError as exc:  # a bad entry, or a StructureError for a bad shape
+        result = ahp.validate(m)
+    except DomainError as exc:  # a cell not above 0, or n < 2
         raise ConfigError(field, str(exc))
     if not result.ok:
         raise ConfigError(field, result.violations[0].message)
+    return m
 
 
 def _template(config: VoiConfig) -> np.ndarray:
-    """The attribute matrix at gamma = 1; ``ConfigError`` unless shape, slot and cells pass."""
+    """A new attribute matrix at gamma = 1; ``ConfigError`` unless its slot and cells pass."""
     n = len(config.attributes)
-    m = require("attribute_matrix", config.attribute_matrix,
-                lambda v: isinstance(v, np.ndarray) and v.dtype == float, "a float array").copy()
-    if m.shape != (n, n):
-        expected = f"expected shape {(n, n)}, one row per attribute"
-        raise ConfigError("attribute_matrix", f"must be square: {expected}, got {m.shape}")
     slot = config.gamma_slot
-    if slot is not None:
-        if not (isinstance(slot, tuple) and len(slot) == 2
-                and all(isinstance(x, int) for x in slot) and 0 <= slot[0] < slot[1] < n):
-            raise ConfigError("gamma_slot", f"{slot!r} is not an above-diagonal cell")
-        m[slot] = m[slot[::-1]] = 1.0
-    _check_matrix(m, "attribute_matrix")
-    return m
+    if slot is not None and not (isinstance(slot, tuple) and len(slot) == 2
+                                 and all(isinstance(x, int) for x in slot)
+                                 and 0 <= slot[0] < slot[1] < n):
+        raise ConfigError("gamma_slot", f"{slot!r} is not an above-diagonal cell")
+    return _comparison_matrix(config.attribute_matrix, n, "attribute_matrix", slot)
 
 
 def instantiate_matrices(config: VoiConfig, gammas) -> np.ndarray:

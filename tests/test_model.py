@@ -141,6 +141,15 @@ def test_instantiate_does_not_mutate_template(safety):
     assert np.array_equal(safety.attribute_matrix, before)
 
 
+def test_validate_and_instantiate_leave_a_filled_slot_in_the_template(safety):
+    # The slot is set to 1 in a copy, so a template that holds a gamma there keeps it.
+    safety.attribute_matrix[1, 2], safety.attribute_matrix[2, 1] = 5.0, 0.2
+    before = safety.attribute_matrix.copy()
+    validate_config(safety)
+    assert instantiate_matrix(safety, 7.0)[1, 2] == 7.0
+    assert np.array_equal(safety.attribute_matrix, before)
+
+
 def test_instantiate_without_slot_ignores_gamma(safety):
     config = two_source_config(safety.conditional_matrices)
     config.gamma_slot = None
@@ -487,12 +496,20 @@ def test_validate_config_takes_a_gamma_slot_only_above_the_diagonal(safety, slot
         assert excinfo.value.field == "gamma_slot"
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [[[1.0, 2.0], [0.5]], [["a", "b"], ["c", "d"]], [[1.0, object()], [1.0, 1.0]],
-     [[1.0, "2"], [0.5, 1.0]], np.array([["1", "2"], ["0.5", "1"]]), np.ones(2), 5.0],
-    ids=["ragged", "strings", "object", "numeric-string", "string-array", "vector", "scalar"],
-)
+# Values that are no 2 x 2 table of numbers, and the forms a 2 x 2 table may take.
+NO_TABLES = [
+    pytest.param([[1.0, 2.0], [0.5]], id="ragged"),
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+    pytest.param([[1.0, object()], [1.0, 1.0]], id="object"),
+    pytest.param([[1.0, "2"], [0.5, 1.0]], id="numeric-string"),
+    pytest.param(np.array([["1", "2"], ["0.5", "1"]]), id="string-array"),
+    pytest.param(np.ones(2), id="vector"),
+    pytest.param(5.0, id="scalar"),
+]
+TABLE_FORMS = ([[1, 1], [1, 1]], ((1.0, 1.0), (1.0, 1.0)), np.ones((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("matrix", NO_TABLES)
 def test_validate_config_names_a_conditional_that_is_no_table_of_numbers(safety, matrix):
     # Checked before numpy sees it, so no ValueError or TypeError escapes.
     config = two_source_config(dict(safety.conditional_matrices))
@@ -503,7 +520,56 @@ def test_validate_config_names_a_conditional_that_is_no_table_of_numbers(safety,
 
 
 def test_validate_config_accepts_a_conditional_as_rows_or_an_integer_array(safety):
-    for matrix in ([[1, 1], [1, 1]], ((1.0, 1.0), (1.0, 1.0)), np.ones((2, 2), dtype=int)):
+    for matrix in TABLE_FORMS:
         config = two_source_config(dict(safety.conditional_matrices))
         config.conditional_matrices[Attribute.SPACE_DEPENDENCY] = matrix
         validate_config(config)
+
+
+def two_attribute_configs(matrix):
+    """The safety profile over its first two attributes, with no gamma slot, and ``matrix``
+    as its attribute matrix: given to the constructor, and set on a built config."""
+    base = safety_config()
+    attributes = base.attributes[:2]
+    conditionals = {a: base.conditional_matrices[a] for a in attributes}
+    built = dataclasses.replace(base, attributes=attributes, attribute_matrix=matrix,
+                                conditional_matrices=conditionals, gamma_slot=None)
+    set_later = dataclasses.replace(built, attribute_matrix=np.ones((2, 2)))
+    set_later.attribute_matrix = matrix
+    return built, set_later
+
+
+@pytest.mark.parametrize("matrix", NO_TABLES)
+def test_validate_config_names_an_attribute_matrix_that_is_no_table_of_numbers(matrix):
+    # The conditional matrices' rule, however the matrix reached the config.
+    reasons = []
+    for config in two_attribute_configs(matrix):
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(config)
+        assert excinfo.value.field == "attribute_matrix"
+        reasons.append(excinfo.value.reason)
+    assert reasons[0] == reasons[1]
+
+
+def test_validate_config_accepts_an_attribute_matrix_as_rows_or_an_integer_array():
+    for matrix in TABLE_FORMS:
+        for config in two_attribute_configs(matrix):
+            validate_config(config)
+            assert np.array_equal(instantiate_matrix(config, 5.0), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("cell", [math.nan, True, "1"])
+def test_validate_config_names_a_gamma_slot_cell_that_is_no_number(safety, cell):
+    # The slot's cells are overwritten per gamma, but they are checked as any other cell.
+    rows = safety.attribute_matrix.tolist()
+    rows[1][2] = cell
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(dataclasses.replace(safety, attribute_matrix=rows))
+    assert excinfo.value.field == "attribute_matrix"
+
+
+@pytest.mark.parametrize("application", ["juggling", "safety", None])
+def test_validate_config_names_an_application_that_is_no_application_kind(safety, application):
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(dataclasses.replace(safety, application=application))
+    assert excinfo.value.field == "application"

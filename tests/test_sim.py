@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import ahp, sim
 from voinet.config import load_scenario
@@ -616,6 +616,28 @@ def test_fuzzed_in_code_config_runs_or_names_the_field(target, value):
         validate_scenario(config)
     except ConfigError as exc:
         assert exc.field == field or exc.field.startswith((field + ".", field + "["))
+        return
+    for policy in POLICIES:
+        run(config, policy, log=False)
+
+
+@settings(
+    max_examples=400,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.sampled_from([f.name for f in dataclasses.fields(VoiConfig)]), JUNK | JUNK_TABLES)
+@example("attributes", None)
+def test_fuzzed_voi_config_built_by_its_constructor_runs_or_names_the_field(name, value):
+    # The constructor keeps any value as given; validation alone judges it.
+    config = scenario([gen(), gen(source=SourceKind.POSITION, period=2)], duration=5)
+    config.voi_config = dataclasses.replace(config.voi_config, **{name: value})
+    field = f"voi_config.{name}"
+    try:
+        validate_scenario(config)
+    except ConfigError as exc:
+        assert exc.field == field or exc.field.startswith(field + ".")
         return
     for policy in POLICIES:
         run(config, policy, log=False)
