@@ -128,10 +128,12 @@ def _distinct(cls):
                       and 2 <= len(set(v)) == len(v))
 
 
+#: The one rule for ``attributes``, which the assessment also checks.
+_ATTRIBUTES = ("attributes", _distinct(Attribute), "at least 2 distinct attributes")
 #: What ``validate_config`` requires of the fields it checks before the matrices.
 CONFIG_FIELDS = (
     ("application", lambda v: isinstance(v, ApplicationKind), "an ApplicationKind"),
-    ("attributes", _distinct(Attribute), "at least 2 distinct attributes"),
+    _ATTRIBUTES,
     ("sources", _distinct(SourceKind), "at least 2 distinct sources"),
     ("conditional_matrices", lambda v: isinstance(v, dict)
      and all(isinstance(a, Attribute) for a in v), "a dict keyed by attribute"),
@@ -174,7 +176,8 @@ def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
 
 
 def _template(config: VoiConfig) -> np.ndarray:
-    """A new attribute matrix at gamma = 1; ``ConfigError`` unless its slot and cells pass."""
+    """A new attribute matrix at gamma = 1; ``ConfigError`` unless its fields and cells pass."""
+    require_fields(config, (_ATTRIBUTES,))
     n = len(config.attributes)
     slot = config.gamma_slot
     if slot is not None and not (isinstance(slot, tuple) and len(slot) == 2
@@ -244,9 +247,10 @@ def assess_gammas(config: VoiConfig, gammas) -> Assessment:
     matrices = instantiate_matrices(config, gammas)
     weights, lambda_max = ahp.principal_eigenvectors(matrices)
     _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], config.cr_threshold)
-    conditional, _ = ahp.principal_eigenvectors(
-        [config.conditional_matrices[attribute] for attribute in config.attributes]
-    )
+    tables = config.conditional_matrices if isinstance(config.conditional_matrices, dict) else {}
+    conditional, _ = ahp.principal_eigenvectors([require(  # validate_config may not have run
+        f"conditional_matrices.{a.value}", tables.get(a), lambda m: m is not None, "a matrix")
+        for a in config.attributes])
     return Assessment(
         attribute_weights=weights,
         lambda_max=lambda_max,

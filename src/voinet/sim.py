@@ -30,9 +30,11 @@ without sending it.  A lane carried from the last slot has its zero-valued
 prefix dropped and its next message keyed (which can be this slot's
 message, appended on arrival, so the index marks a message outside its
 lane, not the slot).  The slot sorts the keys into one worklist on the
-policy's order, takes them from the front (a lane that sends and still
-holds messages gets its next key inserted in order), skips a lane whose
-next message does not fit, and stops once no live generator's size fits.
+policy's order; the new lanes' keys, taken from one cached order per set
+of due periods, come first as one sorted run.  It takes them from the
+front (a lane that sends and still holds messages gets its next key
+inserted in order), skips a lane whose next message does not fit, and
+stops once no live generator's size fits.
 The skipped lanes and the leftover keys' lanes are then every non-empty
 lane, each once: the next slot's carried list.  Keys leave in increasing
 order, as from a heap: each names its generator, so none are equal, and an
@@ -107,6 +109,7 @@ from .model import (
 )
 
 POLICIES = ("voi", "fifo")
+ARRIVAL_ORDERS = 1024  #: the most due sets whose arrival order one run keeps
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,10 @@ class SimState:
             if duration and drops_by(duration - 1) else duration
         )
         self._smallest_size = min((s for s, v in zip(sizes, fresh) if v > 0.0), default=1)
-        # Per period: the generators that emit, the live ones (nonzero fresh value).
-        self._arrivals = [
-            (period, len(indices), [k for k in indices if fresh[k] > 0.0])
-            for period, indices in _period_groups(generators)
-        ]
+        groups = _period_groups(generators)  # group g is bit 1 << g of a due set
+        self._arrivals = [(len(ks), [k for k in ks if fresh[k] > 0.0]) for _, ks in groups]
+        self._always_due = sum(1 << g for g, (period, _) in enumerate(groups) if period == 1)
+        self._due_checks = [(1 << g, period) for g, (period, _) in enumerate(groups) if period > 1]
         self._start()
 
     def _start(self) -> SimState:
@@ -252,6 +254,7 @@ class SimState:
         self._slots: list[deque[int]] = [deque() for _ in self._sizes]
         self._carried: list[int] = []
         self._delivered = [0] * len(self._sizes)
+        self._orders = {policy: {} for policy in POLICIES}  # per policy: due set -> arrival order
         return self
 
     @property
@@ -314,6 +317,14 @@ def _period_groups(generators: list[GeneratorSpec]) -> list[tuple[int, list[int]
     return list(groups.items())
 
 
+def _arrival_order(arrivals, due: int, entries) -> tuple[int, int, list[tuple[float, int]]]:
+    """The groups in ``due``: counts of emitting and of dead generators, the live entries sorted."""
+    groups = [group for g, group in enumerate(arrivals) if due >> g & 1]
+    emitting = sum(count for count, _ in groups)
+    order = sorted(entries[k] for _, live in groups for k in live)
+    return emitting, emitting - len(order), order
+
+
 def _message(
     config: ScenarioConfig, slot: int, index: int, base_scores: dict[SourceKind, float]
 ) -> Message:
@@ -366,11 +377,17 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     The state's attributes, the log's ``write_row`` and the decay helpers
     are bound once per call, and the counters are kept in locals and
-    written back to ``state`` when the call returns.
+    written back to ``state`` when the call returns.  A slot's due period
+    groups, as a bitmask (period 1 always due), key the run's cache of
+    arrival orders: the counts of emitting and dead generators and the live
+    ones' ``(rank, k)`` entries in key order, one entry per generator shared
+    by all orders.  Past ``ARRIVAL_ORDERS`` due sets an order is built and
+    not kept; the worklist is sorted anyway, so no output depends on it.
     """
     slots, carried, fresh, sizes = state._slots, state._carried, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
     arrivals, counts, sources = state._arrivals, state._delivered, state._sources
+    always_due, due_checks, orders = state._always_due, state._due_checks, state._orders[policy]
     generators, config = len(slots), state.config
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
@@ -380,6 +397,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
     age_max_ms = state.age_max_ms
+    entries = [(-v if by_value else 0.0, k) for k, v in enumerate(fresh)]  # shared by the orders
 
     def value(k: int, s: int) -> float:
         return decayed_voi(bases[k], now_ms - s * slot_ms, spaces[k], qualities[k], half_life_ms)
@@ -395,17 +413,23 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     for slot in range(state.slot, end):
         now_ms = slot * slot_ms
-        keys, skipped = [], []
-        for period, emitting, live in arrivals:
+        keys, skipped, due = [], [], always_due
+        for bit, period in due_checks:
             if slot % period == 0:
-                generated += emitting
-                dropped += emitting - len(live)
-                for k in live:
-                    lane = slots[k]
-                    if lane:
-                        lane.append(slot)
-                    else:  # a new lane: its one message, worth fresh[k], stays out of it
-                        keys.append((-fresh[k] if by_value else 0.0, slot, k, -1))
+                due |= bit
+        order = orders.get(due)
+        if order is None:
+            order = _arrival_order(arrivals, due, entries)
+            if len(orders) < ARRIVAL_ORDERS:
+                orders[due] = order
+        generated += order[0]
+        dropped += order[1]
+        for rank, k in order[2]:  # in key order: the new lanes' keys are one sorted run
+            lane = slots[k]
+            if lane:
+                lane.append(slot)
+            else:  # a new lane: its one message, worth fresh[k], stays out of it
+                keys.append((rank, slot, k, -1))
         unsent = len(keys)  # new lanes' messages; each joins its lane unless sent
 
         # Before the gate no value can have decayed to 0.  A message of this

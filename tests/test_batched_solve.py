@@ -16,7 +16,8 @@ from voinet import ahp
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main
 from voinet.config import load_voi_config
 from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
-from voinet.model import assess, assess_gammas, instantiate_matrices, instantiate_matrix
+from voinet.model import (Attribute, assess, assess_gammas, instantiate_matrices,
+                          instantiate_matrix)
 
 from oracles import (
     left_to_right_sum,
@@ -283,6 +284,33 @@ def test_unvalidated_non_square_template_is_a_config_error(safety, change, field
     with pytest.raises(ConfigError, match=message) as excinfo:
         instantiate_matrices(bad, [1.0])
     assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("no-tables", "conditional_matrices.time_dependency"),
+        ("tables-none", "conditional_matrices.time_dependency"),
+        ("one-table-missing", "conditional_matrices.space_dependency"),
+        ("attributes-none", "attributes"),
+    ],
+)
+def test_unvalidated_missing_field_is_a_config_error(safety, name, field):
+    # validate_config never saw it, so the assessment checks that the fields
+    # it reads are present: never a KeyError or a TypeError from len.
+    tables = dict(safety.conditional_matrices)
+    del tables[Attribute.SPACE_DEPENDENCY]
+    change = {
+        "no-tables": {"conditional_matrices": {}},
+        "tables-none": {"conditional_matrices": None},
+        "one-table-missing": {"conditional_matrices": tables},
+        "attributes-none": {"attributes": None},
+    }[name]
+    bad = dataclasses.replace(safety, **change)
+    for call in [assess_gammas] + [instantiate_matrices] * (field == "attributes"):
+        with pytest.raises(ConfigError) as excinfo:
+            call(bad, [1.0])
+        assert excinfo.value.field == field, call.__name__
 
 
 # --- Saaty's closed form ----------------------------------------------------

@@ -1,8 +1,9 @@
 """The simulator's shortcuts: no drop check before the first slot that can
 drop, no pop once nothing fits, a slot that visits only the lanes the last
 one left queued, no lane for a message sent in the slot it arrives, log
-rows formatted without the csv module and written in batches, and a
-scenario prepared once for every policy run.
+rows formatted without the csv module and written in batches, a scenario
+prepared once for every policy run, and arrivals taken in key order from
+one cached order per set of due periods.
 
 Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
 drops; that slot must be the first at which some live generator's slot-0
@@ -15,7 +16,9 @@ lane.  ``TransmissionLogWriter`` writes its rows in batches of at most
 ``BATCH_ROWS``; its bytes must equal what ``csv.writer`` writes for the
 same rows.  Runs started from one prepared ``SimState`` must each equal a
 run of a fresh copy of the scenario, and ``voinet simulate`` must validate
-and assess its scenario once for both policies.
+and assess its scenario once for both policies.  A run builds one arrival
+order per distinct set of due periods, each strictly increasing in
+``(rank, generator)``, and keeps at most ``ARRIVAL_ORDERS`` of them.
 """
 
 import copy
@@ -55,7 +58,7 @@ from voinet.sim import (
     write_transmission_log,
 )
 
-from oracles import reference_initial_state, reference_step
+from oracles import reference_initial_state, reference_run, reference_step
 from test_sim_reference import (
     HALF_LIFE_MS,
     fleet,
@@ -552,6 +555,82 @@ def test_log_writer_writes_bounded_batches(name, configs_dir, monkeypatch):
     write_transmission_log(records, fh)
     assert fh.getvalue() == csv_log(records)
     assert fh.rows == batches(len(records))
+
+
+# --- the arrival orders -------------------------------------------------------
+
+
+def due_sets(config):
+    """The distinct sets of periods that are due together at some slot of the run."""
+    periods = {g.period_slots for g in config.generators}
+    slots = range(config.duration_slots)
+    return {frozenset(p for p in periods if slot % p == 0) for slot in slots}
+
+
+@pytest.mark.parametrize("name, expected", [("overload", 1), ("fleet", 48)])
+def test_one_sorted_arrival_order_per_due_set(name, expected, configs_dir, monkeypatch):
+    # Output tests cannot see an unsorted order, as the slot sorts its
+    # worklist anyway: this pins the presort itself.  Fleet's periods 1-10
+    # fall due in 48 patterns (the divisors of 2520), all within 2000 slots.
+    config = {
+        "overload": lambda: load_scenario(configs_dir / "overload_scenario.json"),
+        "fleet": lambda: fleet(0, duration=2000),
+    }[name]()
+    assert len(due_sets(config)) == expected
+    built = []
+
+    def counted(arrivals, due, entries, _original=sim._arrival_order):
+        built.append(due)
+        return _original(arrivals, due, entries)
+
+    monkeypatch.setattr(sim, "_arrival_order", counted)
+    for policy in ("voi", "fifo"):
+        built.clear()
+        state = initial_state(config)
+        sim._advance(state, policy, config.duration_slots)
+        orders = state._orders[policy]
+        assert len(built) == len(set(built)) == len(orders) == expected, policy
+        shared = {}
+        for emitting, dead, order in orders.values():
+            assert order == sorted(set(order)), policy  # strictly increasing in (rank, k)
+            assert 0 <= dead <= emitting == dead + len(order), policy
+            for entry in order:
+                rank, k = entry
+                assert state._fresh[k] > 0.0, policy  # a live generator
+                assert rank == (-state._fresh[k] if policy == "voi" else 0.0), policy
+                assert shared.setdefault(k, entry) is entry, policy  # one entry per generator
+
+
+def coprime_scenario():
+    """Periods 2-12 over 240 slots, more offered than carried, one generator dead."""
+    sources = [SourceKind.SURROUNDING, SourceKind.POSITION]
+    generators = [
+        gen(source=sources[p % 2], period=p, size=600 + 100 * p, quality=0.5 + p / 30,
+            position=(20.0 * p, 0.0))
+        for p in range(2, 13)
+    ]
+    generators.append(gen(period=3, quality=0.0))
+    return scenario(generators, duration=240, budget=2000)
+
+
+@pytest.mark.parametrize("name", ["periods-2-12", "fleet"])
+def test_arrival_orders_past_the_bound_match_reference(name, monkeypatch):
+    # Past the bound a slot builds its order and does not keep it.
+    monkeypatch.setattr(sim, "ARRIVAL_ORDERS", 4)
+    config = {"periods-2-12": coprime_scenario, "fleet": lambda: fleet(0)}[name]()
+    assert len(due_sets(config)) > 4
+    for policy in ("voi", "fifo"):
+        expected = reference_run(config, policy)
+        assert run(config, policy) == expected, policy
+        state = initial_state(config)
+        sim._advance(state, policy, config.duration_slots)
+        assert len(state._orders[policy]) == 4, policy
+        assert (sim._finalize(state), state.log) == expected, policy
+        state = initial_state(config)
+        for _ in range(config.duration_slots):
+            step(state, policy)
+            assert len(state._orders[policy]) <= 4, (policy, state.slot)
+        assert (sim._finalize(state), state.log) == expected, policy
 
 
 # --- the prepared scenario ----------------------------------------------------
