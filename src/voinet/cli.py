@@ -123,13 +123,12 @@ def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
 def _cmd_check(args) -> int:
     config = load_voi_config(args.config)
     assessment = assess_gammas(config, [args.gamma])
-    solved = assessment.solved(0)
-    report = ahp.consistency(solved, config.cr_threshold)
+    report = assessment.report(0)
     print(f"config: {args.config}")
     print(f"application: {config.application.value}")
     print(f"gamma: {args.gamma:.6f}")
     print("attributes: " + " ".join(a.value for a in config.attributes))
-    print("weights: " + " ".join(f"{w:.4f}" for w in solved.weights))
+    print("weights: " + " ".join(f"{w:.4f}" for w in assessment.attribute_weights[0]))
     print(f"lambda_max: {report.lambda_max:.4f}")
     print(f"consistency_index: {report.consistency_index:.4f}")
     print(f"consistency_ratio: {report.consistency_ratio:.4f}")

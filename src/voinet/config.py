@@ -1,7 +1,7 @@
 """Config files: JSON documents in, validated ``VoiConfig`` and ``ScenarioConfig`` out.
 
 Every value goes through a typed reader, then ``model.validate_config`` or
-``sim.validate_scenario``, which configs built in code go through too; all
+``sim.validate_scenario``, as configs built in code do when assessed; all
 check through ``errors.require`` and its shared predicates.  A field that
 fails, by type or by range, is a ``ConfigError`` naming its full path
 (``voi_config.decay.space_radius_m``, ``generators[2].size_bits``), as a
@@ -140,9 +140,7 @@ def _voi_config(value, path: str, prefix: str) -> model.VoiConfig:
 
 def voi_config_from_dict(doc) -> model.VoiConfig:
     """Build and validate a ``VoiConfig`` from a parsed JSON document."""
-    config = _voi_config(doc, "document", "")
-    model.validate_config(config)
-    return config
+    return model.validate_config(_voi_config(doc, "document", "")).config
 
 
 SCENARIO_READERS = {

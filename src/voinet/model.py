@@ -9,10 +9,11 @@ per source.  Assessed (base) value is then modulated at read time by
 time, space, and quality decay.
 
 Configs are plain data that ``voinet.config`` reads from JSON or a caller
-builds in code; ``validate_config`` checks them, every comparison matrix
-by one rule.  The attribute matrix may leave one above-diagonal cell open
-(the ``gamma`` slot) to be filled per assessment.  ``assess_gammas`` assesses
-many gammas in one batched solve; ``assess`` is its one-gamma case.
+builds in code; only ``validate_config`` checks them, every comparison matrix
+by one rule, into the ``CheckedConfig`` the assessment reads.  The attribute
+matrix may leave one above-diagonal cell open (the ``gamma`` slot), filled per
+assessment.  ``assess_gammas`` assesses many gammas in one batched solve;
+``assess`` is its one-gamma case.
 """
 
 from __future__ import annotations
@@ -128,34 +129,44 @@ def _distinct(cls):
                       and 2 <= len(set(v)) == len(v))
 
 
-#: The one rule for ``attributes``, which the assessment also checks.
-_ATTRIBUTES = ("attributes", _distinct(Attribute), "at least 2 distinct attributes")
 #: What ``validate_config`` requires of the fields it checks before the matrices.
 CONFIG_FIELDS = (
     ("application", lambda v: isinstance(v, ApplicationKind), "an ApplicationKind"),
-    _ATTRIBUTES,
+    ("attributes", _distinct(Attribute), "at least 2 distinct attributes"),
     ("sources", _distinct(SourceKind), "at least 2 distinct sources"),
-    ("conditional_matrices", lambda v: isinstance(v, dict)
-     and all(isinstance(a, Attribute) for a in v), "a dict keyed by attribute"),
+    ("conditional_matrices", lambda v: v is None or isinstance(v, dict)
+     and all(isinstance(a, Attribute) for a in v), "a dict keyed by attribute, or None"),
     ("decay", lambda v: isinstance(v, DecayProfile), "a DecayProfile"),
     ("cr_threshold", is_positive, "a finite number > 0"),
 )
 
 
-def validate_config(config: VoiConfig) -> None:
-    """Check config-level invariants, raising ``ConfigError`` naming the field."""
+@dataclass(frozen=True)
+class CheckedConfig:
+    """A config ``validate_config`` passed, with the arrays it checked; nothing else makes one."""
+
+    config: VoiConfig
+    template: np.ndarray  #: ``(A, A)``, the attribute matrix at gamma = 1
+    conditional: np.ndarray  #: ``(A, S, S)``, the conditional matrices in ``attributes`` order
+
+
+def validate_config(config: VoiConfig) -> CheckedConfig:
+    """``config`` with its checked arrays, or ``ConfigError`` naming the first field to fail."""
     require_fields(config, CONFIG_FIELDS)
-    _template(config)
-    for attribute in config.attributes:
-        _comparison_matrix(config.conditional_matrices.get(attribute), len(config.sources),
-                           f"conditional_matrices.{attribute.value}")
-    for attribute in config.conditional_matrices:
+    template = _comparison_matrix(config.attribute_matrix, len(config.attributes),
+                                  "attribute_matrix", config.gamma_slot)
+    tables = config.conditional_matrices or {}
+    conditional = np.array([
+        _comparison_matrix(tables.get(a), len(config.sources), f"conditional_matrices.{a.value}")
+        for a in config.attributes])
+    for attribute in tables:
         require(f"conditional_matrices.{attribute.value}", attribute,
                 config.attributes.__contains__, "one of the attributes")
+    return CheckedConfig(config, template, conditional)
 
 
 def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
-    """``value`` as a new float array, with ``slot`` and its mirror set to 1.
+    """``value`` as a new float array, with ``slot`` (above the diagonal) and its mirror at 1.
 
     The one rule for both kinds of matrix: n rows of n numbers, as lists,
     tuples or an array, checked before numpy converts them, that
@@ -165,6 +176,9 @@ def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
     m = np.array(require(field, rows, is_vector(n, is_vector(n)),
                          f"{n} rows of {n} numbers (it must be square)"), dtype=float)
     if slot is not None:
+        if not (isinstance(slot, tuple) and len(slot) == 2
+                and all(isinstance(x, int) for x in slot) and 0 <= slot[0] < slot[1] < n):
+            raise ConfigError("gamma_slot", f"{slot!r} is not an above-diagonal cell")
         m[slot] = m[slot[::-1]] = 1.0
     try:
         result = ahp.validate(m)
@@ -175,26 +189,11 @@ def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
     return m
 
 
-def _template(config: VoiConfig) -> np.ndarray:
-    """A new attribute matrix at gamma = 1; ``ConfigError`` unless its fields and cells pass."""
-    require_fields(config, (_ATTRIBUTES,))
-    n = len(config.attributes)
-    slot = config.gamma_slot
-    if slot is not None and not (isinstance(slot, tuple) and len(slot) == 2
-                                 and all(isinstance(x, int) for x in slot)
-                                 and 0 <= slot[0] < slot[1] < n):
-        raise ConfigError("gamma_slot", f"{slot!r} is not an above-diagonal cell")
-    return _comparison_matrix(config.attribute_matrix, n, "attribute_matrix", slot)
-
-
-def instantiate_matrices(config: VoiConfig, gammas) -> np.ndarray:
+def instantiate_matrices(config: VoiConfig | CheckedConfig, gammas) -> np.ndarray:
     """Attribute matrices, one per gamma, stacked ``(G, A, A)``: gamma fills the slot.
 
-    Checks what validating each matrix would: ``DomainError`` for a gamma
-    outside the Saaty bounds, ``ConfigError`` for a template of the wrong
-    shape, a slot off its upper triangle or an invalid cell, also on a
-    config ``validate_config`` never saw.  The fixed cells are checked once.
-    An in-bounds gamma's cells need no check: rounding is monotone and
+    Checks the gammas' Saaty bounds (``DomainError``), then a bare config by
+    ``validate_config``, but not gamma's cells: rounding is monotone and
     ``fl(1/9) == SAATY_MIN``, so ``fl(1/gamma)`` is in bounds too, and its
     product with gamma is 1 to within 2.3e-16.
     """
@@ -202,22 +201,23 @@ def instantiate_matrices(config: VoiConfig, gammas) -> np.ndarray:
     outside = ~((ahp.SAATY_MIN <= gammas) & (gammas <= ahp.SAATY_MAX))
     if outside.any():
         raise DomainError(f"gamma = {gammas[outside][0]} outside Saaty bounds [1/9, 9]")
-    matrices = np.repeat(_template(config)[None], gammas.size, axis=0)
-    if config.gamma_slot is not None:
-        i, j = config.gamma_slot
+    checked = config if isinstance(config, CheckedConfig) else validate_config(config)
+    matrices = np.repeat(checked.template[None], gammas.size, axis=0)
+    if checked.config.gamma_slot is not None:
+        i, j = checked.config.gamma_slot
         matrices[:, i, j] = gammas
         matrices[:, j, i] = 1.0 / gammas
     return matrices
 
 
-def instantiate_matrix(config: VoiConfig, gamma: float) -> np.ndarray:
+def instantiate_matrix(config: VoiConfig | CheckedConfig, gamma: float) -> np.ndarray:
     """Attribute matrix with ``gamma`` filled into its slot (reciprocal implied)."""
     return instantiate_matrices(config, [gamma])[0]
 
 
 @dataclass(frozen=True)
 class Assessment:
-    """A config assessed at G gammas: row g of every array belongs to gamma g.
+    """A checked ``config`` assessed at G gammas: row g of every array belongs to gamma g.
 
     ``scores`` is ``(G, S)``, ordered like ``config.sources``;
     ``attribute_weights`` is ``(G, A)``; ``lambda_max``,
@@ -225,33 +225,34 @@ class Assessment:
     the instantiated attribute matrices.
     """
 
+    config: VoiConfig
     attribute_weights: np.ndarray
     lambda_max: np.ndarray
     consistency_ratio: np.ndarray
     is_consistent: np.ndarray
     scores: np.ndarray
 
-    def solved(self, g: int) -> ahp.WeightVector:
-        """The solve of gamma g's attribute matrix, for ``ahp.consistency``."""
-        return ahp.WeightVector(self.attribute_weights[g], float(self.lambda_max[g]))
+    def report(self, g: int) -> ahp.ConsistencyReport:
+        """The consistency report of gamma g's attribute matrix, from its solve."""
+        solved = ahp.WeightVector(self.attribute_weights[g], float(self.lambda_max[g]))
+        return ahp.consistency(solved, self.config.cr_threshold)
 
 
-def assess_gammas(config: VoiConfig, gammas) -> Assessment:
+def assess_gammas(config: VoiConfig | CheckedConfig, gammas) -> Assessment:
     """Score every source for the application at each interdependency in ``gammas``.
 
-    Two batched solves: the conditional matrices, which do not depend on
-    gamma, and the stack of instantiated attribute matrices, whose
-    eigenvalues also give the consistency ratios.  Row g equals what
-    solving gamma g alone gives, bit for bit.
+    Two batched solves of the checked arrays: the conditional matrices,
+    which do not depend on gamma, and the stack of instantiated attribute
+    matrices, whose eigenvalues also give the consistency ratios.  Row g
+    equals what solving gamma g alone gives, bit for bit.
     """
-    matrices = instantiate_matrices(config, gammas)
+    checked = config if isinstance(config, CheckedConfig) else validate_config(config)
+    matrices = instantiate_matrices(checked, gammas)
     weights, lambda_max = ahp.principal_eigenvectors(matrices)
-    _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], config.cr_threshold)
-    tables = config.conditional_matrices if isinstance(config.conditional_matrices, dict) else {}
-    conditional, _ = ahp.principal_eigenvectors([require(  # validate_config may not have run
-        f"conditional_matrices.{a.value}", tables.get(a), lambda m: m is not None, "a matrix")
-        for a in config.attributes])
+    _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], checked.config.cr_threshold)
+    conditional, _ = ahp.principal_eigenvectors(checked.conditional)
     return Assessment(
+        config=checked.config,
         attribute_weights=weights,
         lambda_max=lambda_max,
         consistency_ratio=cr,
@@ -260,7 +261,8 @@ def assess_gammas(config: VoiConfig, gammas) -> Assessment:
     )
 
 
-def assess(config: VoiConfig, gamma: float) -> tuple[np.ndarray, ahp.ConsistencyReport]:
+def assess(config: VoiConfig | CheckedConfig, gamma: float
+           ) -> tuple[np.ndarray, ahp.ConsistencyReport]:
     """Score every source for the application at interdependency ``gamma``.
 
     Returns the per-source scores (normalized to sum 1, ordered like
@@ -268,13 +270,13 @@ def assess(config: VoiConfig, gamma: float) -> tuple[np.ndarray, ahp.Consistency
     attribute matrix: the one-gamma case of ``assess_gammas``.
     """
     assessment = assess_gammas(config, [gamma])
-    return assessment.scores[0], ahp.consistency(assessment.solved(0), config.cr_threshold)
+    return assessment.scores[0], assessment.report(0)
 
 
-def source_scores(config: VoiConfig, gamma: float) -> dict[SourceKind, float]:
+def source_scores(config: VoiConfig | CheckedConfig, gamma: float) -> dict[SourceKind, float]:
     """Base value per source kind: the assessed score under ``config``."""
-    scores = assess_gammas(config, [gamma]).scores[0]
-    return {source: float(s) for source, s in zip(config.sources, scores)}
+    assessment = assess_gammas(config, [gamma])
+    return {source: float(s) for source, s in zip(assessment.config.sources, assessment.scores[0])}
 
 
 def space_factor(

@@ -69,9 +69,10 @@ which a live generator's slot-0 message would be worth 0, checks no drops.
 
 A run's state is one ``SimState``, whose private attributes hold the
 scenario's generator constants and the run's lanes.  ``initial_state``
-validates and assesses a scenario and computes the constants once; ``run``
-from that state runs on a copy with its own lanes and counters, so each
-policy's run shares and only reads them (``cli`` prepares once for both).
+validates a scenario, assesses the voi config it checked and computes the
+constants once; ``run`` from that state runs on a copy with its own lanes
+and counters, so each policy's run shares and only reads them (``cli``
+prepares once for both).
 A run is one loop over its slots (``_advance``) that binds them and the
 decay helpers once and keeps the counters in locals until it returns;
 ``step`` is its one-slot case.  A log is any object with
@@ -98,6 +99,7 @@ from . import ahp
 from .errors import (ConfigError, DomainError, is_count, is_number, is_positive, is_vector,
                      require, require_fields)
 from .model import (
+    CheckedConfig,
     Metadata,
     SourceKind,
     VoiConfig,
@@ -284,15 +286,15 @@ GENERATOR_FIELDS = (
 )
 
 
-def validate_scenario(config: ScenarioConfig) -> None:
-    """Raise ``ConfigError`` naming the first field that fails its check.
+def validate_scenario(config: ScenarioConfig) -> CheckedConfig:
+    """The checked ``voi_config``; ``ConfigError`` naming the first field that fails its check.
 
     The checks, in order: ``SCENARIO_FIELDS``, ``validate_config`` (as ``voi_config.<field>``),
     then each generator's ``GENERATOR_FIELDS`` and its source (among the assessed ones).
     """
     require_fields(config, SCENARIO_FIELDS)
     try:
-        validate_config(config.voi_config)
+        checked = validate_config(config.voi_config)
     except ConfigError as exc:
         raise ConfigError("voi_config." + exc.field, exc.reason) from None
     require("slot_ms", config.duration_slots * float(config.slot_ms), is_number,
@@ -302,6 +304,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
         where = f"generators[{k}]."
         require_fields(gen, GENERATOR_FIELDS, where)
         require(where + "source", gen.source, sources.__contains__, "one of the assessed sources")
+    return checked
 
 
 def _check_policy(policy: str) -> None:
@@ -506,8 +509,9 @@ def step(state: SimState, policy: str = "voi") -> SimState:
 
 
 def initial_state(config: ScenarioConfig) -> SimState:
-    validate_scenario(config)
-    return SimState(config=config, base_scores=source_scores(config.voi_config, config.gamma))
+    """A run's state at slot 0, scored from the voi config that ``validate_scenario`` checked."""
+    return SimState(config=config,
+                    base_scores=source_scores(validate_scenario(config), config.gamma))
 
 
 def _finalize(state: SimState) -> SimMetrics:

@@ -12,12 +12,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from voinet import ahp
+from voinet import ahp, model
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main
 from voinet.config import load_voi_config
 from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
 from voinet.model import (Attribute, assess, assess_gammas, instantiate_matrices,
-                          instantiate_matrix)
+                          instantiate_matrix, source_scores, validate_config)
 
 from oracles import (
     left_to_right_sum,
@@ -277,9 +277,9 @@ def test_batched_assessment_checks_the_fixed_cells(safety):
     ids=["3x4", "2x3", "2x2", "slot-0-5", "slot-float", "slot-triple", "slot-int"],
 )
 def test_unvalidated_non_square_template_is_a_config_error(safety, change, field, message):
-    # validate_config never saw it, so instantiate_matrices checks the template
-    # itself: shape and slot before it writes gamma, never an IndexError,
-    # ValueError or TypeError.  The slot must be a pair of ints.
+    # validate_config never saw it, so instantiate_matrices validates it first:
+    # shape and slot before it writes gamma, never an IndexError, ValueError
+    # or TypeError.  The slot must be a pair of ints.
     bad = dataclasses.replace(safety, **change)
     with pytest.raises(ConfigError, match=message) as excinfo:
         instantiate_matrices(bad, [1.0])
@@ -293,24 +293,61 @@ def test_unvalidated_non_square_template_is_a_config_error(safety, change, field
         ("tables-none", "conditional_matrices.time_dependency"),
         ("one-table-missing", "conditional_matrices.space_dependency"),
         ("attributes-none", "attributes"),
+        ("table-str", "conditional_matrices.time_dependency"),
+        ("table-ragged", "conditional_matrices.time_dependency"),
+        ("table-3x3", "conditional_matrices.time_dependency"),
     ],
 )
 def test_unvalidated_missing_field_is_a_config_error(safety, name, field):
-    # validate_config never saw it, so the assessment checks that the fields
-    # it reads are present: never a KeyError or a TypeError from len.
+    # validate_config never saw it, so the assessment validates it first: a
+    # missing or malformed field is never a KeyError, a TypeError from len or
+    # numpy's ValueError.
     tables = dict(safety.conditional_matrices)
     del tables[Attribute.SPACE_DEPENDENCY]
+    time_table = {
+        "table-str": "abc",
+        "table-ragged": [[1, 2], [3]],
+        "table-3x3": np.ones((3, 3)),  # the profile has 2 sources
+    }
     change = {
         "no-tables": {"conditional_matrices": {}},
         "tables-none": {"conditional_matrices": None},
         "one-table-missing": {"conditional_matrices": tables},
         "attributes-none": {"attributes": None},
+        **{key: {"conditional_matrices": {**safety.conditional_matrices,
+                                          Attribute.TIME_DEPENDENCY: table}}
+           for key, table in time_table.items()},
     }[name]
     bad = dataclasses.replace(safety, **change)
-    for call in [assess_gammas] + [instantiate_matrices] * (field == "attributes"):
+    for call, gammas in [(assess_gammas, [1.0]), (instantiate_matrices, [1.0]),
+                         (source_scores, 1.0)]:
         with pytest.raises(ConfigError) as excinfo:
-            call(bad, [1.0])
+            call(bad, gammas)
         assert excinfo.value.field == field, call.__name__
+
+
+def test_a_checked_config_is_assessed_as_is(safety, monkeypatch):
+    # validate_config's value holds the arrays it checked, and the assessment
+    # reads them without validating again, to the same result as a bare config.
+    checked = validate_config(safety)
+    assert checked.config is safety
+    assert checked.template.shape == (3, 3) and checked.template[1, 2] == 1.0
+    assert np.array_equal(checked.conditional,
+                          [safety.conditional_matrices[a] for a in safety.attributes])
+    bare = (instantiate_matrices(safety, [1.0, 3.0]), assess_gammas(safety, [3.0]).scores,
+            assess(safety, 3.0), source_scores(safety, 3.0))
+
+    def refused(config):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(model, "validate_config", refused)
+    assert np.array_equal(instantiate_matrices(checked, [1.0, 3.0]), bare[0])
+    assert np.array_equal(assess_gammas(checked, [3.0]).scores, bare[1])
+    scores, report = assess(checked, 3.0)
+    assert np.array_equal(scores, bare[2][0]) and report == bare[2][1]
+    assert source_scores(checked, 3.0) == bare[3]
+    with pytest.raises(AssertionError, match="validated again"):
+        assess_gammas(safety, [3.0])  # a bare config is still validated
 
 
 # --- Saaty's closed form ----------------------------------------------------

@@ -19,6 +19,7 @@ from voinet.model import (
     SourceKind,
     SpaceShape,
     VoiConfig,
+    assess_gammas,
     effective_voi,
     source_scores,
 )
@@ -581,6 +582,17 @@ IN_CODE_FIELDS = (
 JUNK_TABLES = st.lists(st.lists(JUNK_ITEMS, max_size=3), max_size=3)
 
 
+def assert_bare_assessment_agrees(config, named):
+    # The scenario's voi config, assessed without validate_scenario, raises
+    # ConfigError exactly when validation named a field, and names it too.
+    try:
+        assess_gammas(config.voi_config, [config.gamma])
+    except ConfigError as exc:
+        assert named == "voi_config." + exc.field
+    else:
+        assert named is None
+
+
 @settings(
     max_examples=400,
     derandomize=True,
@@ -612,13 +624,17 @@ def test_fuzzed_in_code_config_runs_or_names_the_field(target, value):
         except DomainError:
             return
         field = f"voi_config.decay.{name}"
+    named = None
     try:
         validate_scenario(config)
     except ConfigError as exc:
         assert exc.field == field or exc.field.startswith((field + ".", field + "["))
-        return
-    for policy in POLICIES:
-        run(config, policy, log=False)
+        named = exc.field
+    if kind in (VoiConfig, dict):
+        assert_bare_assessment_agrees(config, named)
+    if named is None:
+        for policy in POLICIES:
+            run(config, policy, log=False)
 
 
 @settings(
@@ -634,10 +650,13 @@ def test_fuzzed_voi_config_built_by_its_constructor_runs_or_names_the_field(name
     config = scenario([gen(), gen(source=SourceKind.POSITION, period=2)], duration=5)
     config.voi_config = dataclasses.replace(config.voi_config, **{name: value})
     field = f"voi_config.{name}"
+    named = None
     try:
         validate_scenario(config)
     except ConfigError as exc:
         assert exc.field == field or exc.field.startswith(field + ".")
-        return
-    for policy in POLICIES:
-        run(config, policy, log=False)
+        named = exc.field
+    assert_bare_assessment_agrees(config, named)
+    if named is None:
+        for policy in POLICIES:
+            run(config, policy, log=False)

@@ -16,9 +16,10 @@ lane.  ``TransmissionLogWriter`` writes its rows in batches of at most
 ``BATCH_ROWS``; its bytes must equal what ``csv.writer`` writes for the
 same rows.  Runs started from one prepared ``SimState`` must each equal a
 run of a fresh copy of the scenario, and ``voinet simulate`` must validate
-and assess its scenario once for both policies.  A run builds one arrival
-order per distinct set of due periods, each strictly increasing in
-``(rank, generator)``, and keeps at most ``ARRIVAL_ORDERS`` of them.
+and assess its scenario once for both policies; ``check``, ``sweep`` and
+``simulate`` each make a pinned number of checks and solves.  A run builds
+one arrival order per distinct set of due periods, each strictly increasing
+in ``(rank, generator)``, and keeps at most ``ARRIVAL_ORDERS`` of them.
 """
 
 import copy
@@ -687,21 +688,34 @@ def test_a_run_from_a_prepared_state_does_not_validate(configs_dir, monkeypatch)
 
 
 #: Calls of one ``voinet simulate --log`` of the bundled overload scenario:
-#: the load and the one preparation validate, and one assessment solves
-#: the attribute and the conditional matrices.
+#: the load and the one preparation validate, each checking the 4 matrices,
+#: and one assessment solves the attribute and the conditional matrices.
 SIMULATE_CALLS = {
     "sim.validate_scenario": 2,
     "model.validate_config": 2,
-    "ahp.validate": 9,
+    "ahp.validate": 8,
     "model.source_scores": 1,
     "ahp.principal_eigenvectors": 2,
 }
 
+#: Calls of ``voinet check`` and ``voinet sweep`` of the bundled config: the
+#: load validates, and the one assessment, given the bare config, validates
+#: again before its two solves.
+ASSESS_CALLS = {
+    "model.validate_config": 2,
+    "ahp.validate": 8,
+    "ahp.principal_eigenvectors": 2,
+}
 
-def test_simulate_validates_and_assesses_once_for_both_policies(configs_dir, tmp_path, monkeypatch):
-    calls = dict.fromkeys(SIMULATE_CALLS, 0)
+
+@pytest.mark.parametrize("command", ["check", "sweep", "simulate"])
+def test_simulate_validates_and_assesses_once_for_both_policies(
+    command, configs_dir, tmp_path, monkeypatch
+):
+    expected = SIMULATE_CALLS if command == "simulate" else ASSESS_CALLS
+    calls = dict.fromkeys(expected, 0)
     modules = [m for name, m in list(sys.modules.items()) if name.startswith("voinet.")]
-    for name in SIMULATE_CALLS:
+    for name in expected:
         module, attr = name.split(".")
         original = getattr(importlib.import_module("voinet." + module), attr)
 
@@ -712,7 +726,12 @@ def test_simulate_validates_and_assesses_once_for_both_policies(configs_dir, tmp
         for m in modules:  # every module that binds it, as the tracer wraps them
             for bound in [a for a, v in vars(m).items() if v is original]:
                 monkeypatch.setattr(m, bound, counted)
-    argv = ["simulate", "--scenario", str(configs_dir / "overload_scenario.json"),
-            "--out", str(tmp_path / "out.csv"), "--log", str(tmp_path / "log.csv")]
+    argv = {
+        "check": ["check", "--config", str(configs_dir / "safety.json")],
+        "sweep": ["sweep", "--config", str(configs_dir / "safety.json"),
+                  "--out", str(tmp_path / "sweep.csv")],
+        "simulate": ["simulate", "--scenario", str(configs_dir / "overload_scenario.json"),
+                     "--out", str(tmp_path / "out.csv"), "--log", str(tmp_path / "log.csv")],
+    }[command]
     assert main(argv) == 0
-    assert calls == SIMULATE_CALLS
+    assert calls == expected
