@@ -143,11 +143,18 @@ CONFIG_FIELDS = (
 
 @dataclass(frozen=True)
 class CheckedConfig:
-    """A config ``validate_config`` passed, with the arrays it checked; nothing else makes one."""
+    """A config ``validate_config`` passed, with what it checked; nothing else makes one.
+
+    The assessment reads the read-only arrays and the values checked, never
+    the live ``config``, so a later edit of it is not assessed unchecked.
+    """
 
     config: VoiConfig
     template: np.ndarray  #: ``(A, A)``, the attribute matrix at gamma = 1
     conditional: np.ndarray  #: ``(A, S, S)``, the conditional matrices in ``attributes`` order
+    sources: tuple[SourceKind, ...]
+    gamma_slot: tuple[int, int] | None
+    cr_threshold: float
 
 
 def validate_config(config: VoiConfig) -> CheckedConfig:
@@ -162,7 +169,9 @@ def validate_config(config: VoiConfig) -> CheckedConfig:
     for attribute in tables:
         require(f"conditional_matrices.{attribute.value}", attribute,
                 config.attributes.__contains__, "one of the attributes")
-    return CheckedConfig(config, template, conditional)
+    template.flags.writeable = conditional.flags.writeable = False
+    return CheckedConfig(config, template, conditional, tuple(config.sources),
+                         config.gamma_slot, config.cr_threshold)
 
 
 def _comparison_matrix(value, n: int, field: str, slot=None) -> np.ndarray:
@@ -203,8 +212,8 @@ def instantiate_matrices(config: VoiConfig | CheckedConfig, gammas) -> np.ndarra
         raise DomainError(f"gamma = {gammas[outside][0]} outside Saaty bounds [1/9, 9]")
     checked = config if isinstance(config, CheckedConfig) else validate_config(config)
     matrices = np.repeat(checked.template[None], gammas.size, axis=0)
-    if checked.config.gamma_slot is not None:
-        i, j = checked.config.gamma_slot
+    if checked.gamma_slot is not None:
+        i, j = checked.gamma_slot
         matrices[:, i, j] = gammas
         matrices[:, j, i] = 1.0 / gammas
     return matrices
@@ -225,7 +234,7 @@ class Assessment:
     the instantiated attribute matrices.
     """
 
-    config: VoiConfig
+    config: CheckedConfig
     attribute_weights: np.ndarray
     lambda_max: np.ndarray
     consistency_ratio: np.ndarray
@@ -249,10 +258,10 @@ def assess_gammas(config: VoiConfig | CheckedConfig, gammas) -> Assessment:
     checked = config if isinstance(config, CheckedConfig) else validate_config(config)
     matrices = instantiate_matrices(checked, gammas)
     weights, lambda_max = ahp.principal_eigenvectors(matrices)
-    _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], checked.config.cr_threshold)
+    _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], checked.cr_threshold)
     conditional, _ = ahp.principal_eigenvectors(checked.conditional)
     return Assessment(
-        config=checked.config,
+        config=checked,
         attribute_weights=weights,
         lambda_max=lambda_max,
         consistency_ratio=cr,

@@ -17,7 +17,7 @@ from voinet.cli import SweepRow, consistent_region, gamma_sweep, main
 from voinet.config import load_voi_config
 from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
 from voinet.model import (Attribute, assess, assess_gammas, instantiate_matrices,
-                          instantiate_matrix, source_scores, validate_config)
+                          SourceKind, instantiate_matrix, source_scores, validate_config)
 
 from oracles import (
     left_to_right_sum,
@@ -348,6 +348,28 @@ def test_a_checked_config_is_assessed_as_is(safety, monkeypatch):
     assert source_scores(checked, 3.0) == bare[3]
     with pytest.raises(AssertionError, match="validated again"):
         assess_gammas(safety, [3.0])  # a bare config is still validated
+
+
+def test_a_checked_config_is_assessed_as_checked_after_any_edit(safety):
+    # Its arrays are read-only, and an edit of the live config after
+    # validate_config (slot, threshold, source order) moves no assessed value.
+    checked = validate_config(safety)
+    with pytest.raises(ValueError, match="read-only"):
+        checked.template[0, 2] = 100.0  # off the Saaty scale and not reciprocal
+    with pytest.raises(ValueError, match="read-only"):
+        checked.conditional[0, 0, 1] = 100.0
+    matrices, assessment = instantiate_matrices(checked, [2.0]), assess_gammas(checked, [2.0])
+    scores = source_scores(checked, 2.0)
+    safety.gamma_slot = (0, 1)
+    safety.cr_threshold = 1e-9
+    safety.sources.reverse()
+    assert np.array_equal(instantiate_matrices(checked, [2.0]), matrices)
+    assert matrices[0, 1, 2] == 2.0 and matrices[0, 0, 1] != 2.0
+    again = assess_gammas(checked, [2.0])
+    assert np.array_equal(again.scores, assessment.scores)
+    assert again.report(0) == assessment.report(0) and again.is_consistent.tolist() == [True]
+    rescored = source_scores(checked, 2.0)
+    assert rescored == scores and list(rescored) == [SourceKind.SURROUNDING, SourceKind.POSITION]
 
 
 # --- Saaty's closed form ----------------------------------------------------

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from voinet.errors import (
     VoinetError,
 )
 from voinet.model import SourceKind, assess_gammas
+from voinet.sim import TransmissionLogWriter
 
 
 @pytest.fixture
@@ -375,12 +377,17 @@ def test_module_entry_point(safety_path):
 
 
 @pytest.mark.parametrize(
-    "log", ["{out}", "{tmp}/./sub/../metrics.csv", "{symlink}", "{hardlink}"]
+    "log", ["{out}", "{tmp}/./sub/../metrics.csv", "./metrics.csv", "{symlink}",
+            "{tmp}/sub/dangling.csv", "{hardlink}"]
 )
-def test_simulate_log_naming_the_out_file_exits_3(capsys, tmp_path, overload_path, log):
+def test_simulate_log_naming_the_out_file_exits_3(
+    capsys, monkeypatch, tmp_path, overload_path, log
+):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "metrics.csv"
     (tmp_path / "sub").mkdir()
     (tmp_path / "symlink.csv").symlink_to(out)
+    (tmp_path / "sub" / "dangling.csv").symlink_to("../metrics.csv")  # a relative target
     if log == "{hardlink}":  # a hard link needs an existing file
         out.write_text("kept\n", encoding="utf-8")
         (tmp_path / "hardlink.csv").hardlink_to(out)
@@ -417,6 +424,175 @@ def test_output_naming_the_input_config_exits_3(capsys, tmp_path, configs_dir, c
     assert "same file" in captured.err
     assert source.read_bytes() == (configs_dir / config).read_bytes()
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_same_file_compares_resolved_paths_only_where_one_does_not_exist(tmp_path, monkeypatch):
+    # samefile first, realpath only after it fails: the same answers as
+    # comparing the resolved paths first, for every spelling and link.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    Path("f.csv").write_text("x", encoding="utf-8")
+    Path("g.csv").write_text("x", encoding="utf-8")
+    Path("hard.csv").hardlink_to("f.csv")
+    Path("sym.csv").symlink_to("f.csv")
+    Path("dangling.csv").symlink_to("a.csv")
+    Path("sub/dangling.csv").symlink_to("../nowhere/b.csv")
+
+    def resolved_first(a, b):  # the order these calls made before
+        if os.path.realpath(a) == os.path.realpath(b):
+            return True
+        try:
+            return os.path.samefile(a, b)
+        except OSError:
+            return False
+
+    cases = [
+        ("f.csv", "f.csv", True), ("f.csv", "hard.csv", True), ("sym.csv", "hard.csv", True),
+        ("f.csv", "sub/../f.csv", True), ("a.csv", "./a.csv", True),
+        ("a.csv", "dangling.csv", True), (str(tmp_path / "a.csv"), "sub/../a.csv", True),
+        ("f.csv", "g.csv", False), ("a.csv", "b.csv", False), ("f.csv", "a.csv", False),
+        ("sub/dangling.csv", "a.csv", False), ("sub/dangling.csv", "nowhere/b.csv", True),
+    ]
+    for a, b, same in cases:
+        assert cli._same_file(a, b) == same == resolved_first(a, b), (a, b)
+        assert cli._same_file(b, a) == same, (b, a)
+
+
+# --- outputs written in place -------------------------------------------------
+
+
+OUTPUTS = {  # command -> the outputs it writes, and its command line
+    "sweep": (("out",), ["sweep", "--config", "{safety}", "--steps", "11", "--out", "{out}"]),
+    "simulate": (("out", "log"),
+                 ["simulate", "--scenario", "{overload}", "--out", "{out}", "--log", "{log}"]),
+}
+
+
+def write_outputs(command, directory, safety_path, overload_path, **paths):
+    """Run ``command`` writing into ``directory`` (or to ``paths``); its exit code."""
+    names = {name: str(paths.get(name, directory / f"{name}.csv")) for name in ("out", "log")}
+    argv = OUTPUTS[command][1]
+    return main([a.format(safety=safety_path, overload=overload_path, **names) for a in argv])
+
+
+@pytest.fixture
+def fresh(tmp_path, safety_path, overload_path):
+    """command -> {output name: the bytes a run into a new directory writes}."""
+    def run(command):
+        directory = tmp_path / f"fresh-{command}"
+        directory.mkdir()
+        assert write_outputs(command, directory, safety_path, overload_path) == 0
+        return {n: (directory / f"{n}.csv").read_bytes() for n in OUTPUTS[command][0]}
+    return run
+
+
+@pytest.mark.parametrize("size", [300_000, 1], ids=["longer", "shorter"])
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_an_existing_output_ends_byte_equal_to_a_fresh_run(
+    capsys, tmp_path, safety_path, overload_path, fresh, command, size
+):
+    want = fresh(command)
+    for name in want:
+        (tmp_path / f"{name}.csv").write_bytes(b"old,bytes\n" * (size // 10) or b"x")
+    inodes = {name: (tmp_path / f"{name}.csv").stat().st_ino for name in want}
+    assert write_outputs(command, tmp_path, safety_path, overload_path) == 0
+    capsys.readouterr()
+    for name, data in want.items():
+        assert (tmp_path / f"{name}.csv").read_bytes() == data, name
+        assert (tmp_path / f"{name}.csv").stat().st_ino == inodes[name], name  # written in place
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+@pytest.mark.parametrize("command, name", [("sweep", "out"), ("simulate", "out"),
+                                           ("simulate", "log")])
+def test_a_linked_output_rewrites_the_file_it_names(
+    capsys, tmp_path, safety_path, overload_path, fresh, command, name, link
+):
+    want = fresh(command)[name]
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n" * 50_000)
+    linked = tmp_path / "linked.csv"
+    getattr(linked, f"{link}_to")(target)
+    assert write_outputs(command, tmp_path, safety_path, overload_path, **{name: linked}) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == linked.read_bytes() == want
+    assert linked.is_symlink() == (link == "symlink")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command, name", [("sweep", "out"), ("simulate", "out"),
+                                           ("simulate", "log")])
+def test_an_output_to_dev_null_exits_0(capsys, tmp_path, safety_path, overload_path,
+                                       command, name):
+    assert write_outputs(command, tmp_path, safety_path, overload_path, **{name: "/dev/null"}) == 0
+    capsys.readouterr()
+
+
+def test_a_run_that_raises_leaves_the_new_prefix(
+    capsys, monkeypatch, tmp_path, safety_path, overload_path, fresh
+):
+    # The voi run raises at its 300th send, after one batch of 256 log rows
+    # was written: the log holds its header and that batch, and --out, not
+    # yet written, is empty, the bytes open(path, "w") would have left.
+    log = fresh("simulate")["log"]
+    stop = 300
+    assert log.count(b"\n") > stop
+
+    class Failing(TransmissionLogWriter):
+        sent = 0
+
+        def write_row(self, *fields):
+            self.sent += 1
+            if self.sent == stop:
+                raise VoinetError("stopped")
+            super().write_row(*fields)
+
+    monkeypatch.setattr(cli, "TransmissionLogWriter", Failing)
+    for name in ("out", "log"):
+        (tmp_path / f"{name}.csv").write_bytes(b"old,bytes\n" * 30_000)
+    assert write_outputs("simulate", tmp_path, safety_path, overload_path) == 1
+    assert capsys.readouterr().err == "error: stopped\n"
+    batch = TransmissionLogWriter.BATCH_ROWS
+    assert (tmp_path / "log.csv").read_bytes() == b"".join(
+        log.splitlines(keepends=True)[:1 + batch])
+    assert (tmp_path / "out.csv").read_bytes() == b""
+
+
+def test_an_unopenable_log_leaves_an_existing_out_empty(
+    monkeypatch, capsys, tmp_path, overload_path
+):
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("ran"))
+    out = tmp_path / "metrics.csv"
+    out.write_bytes(b"old\n" * 1000)
+    log = tmp_path / "missing" / "log.csv"
+    code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_no_output_is_opened_with_o_trunc(
+    capsys, monkeypatch, tmp_path, safety_path, overload_path, command
+):
+    opened = []
+    os_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if str(path).startswith(str(tmp_path)):
+            opened.append((os.path.basename(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):  # a new file, then an existing one
+        assert write_outputs(command, tmp_path, safety_path, overload_path) == 0
+    capsys.readouterr()
+    names = [f"{name}.csv" for name in OUTPUTS[command][0]]
+    assert [path for path, _ in opened] == names * 2
+    for path, flags in opened:
+        assert flags & os.O_CREAT and flags & os.O_WRONLY, path
+        assert not flags & os.O_TRUNC, path
+        assert flags & getattr(os, "O_BINARY", 0) == getattr(os, "O_BINARY", 0), path
 
 
 def test_command_line_usage_error_exits_2_without_traceback(safety_path, tmp_path):
