@@ -1,7 +1,8 @@
-"""Config files: JSON documents in, validated ``VoiConfig`` and ``ScenarioConfig`` out.
+"""Config files: JSON documents in, ``VoiConfig`` and ``ScenarioConfig`` out.
 
-Every value goes through a typed reader, then ``model.validate_config`` or
-``sim.validate_scenario``, as configs built in code do when assessed; all
+``read_*`` takes every value through a typed reader and no further check;
+``load_*`` and ``*_from_dict`` then run ``model.validate_config`` or
+``sim.validate_scenario``, as configs built in code meet when assessed.  All
 check through ``errors.require`` and its shared predicates.  A field that
 fails, by type or by range, is a ``ConfigError`` naming its full path
 (``voi_config.decay.space_radius_m``, ``generators[2].size_bits``), as a
@@ -172,11 +173,21 @@ def _read_document(path):
         raise ConfigError(str(path), f"invalid JSON: {exc}")
 
 
+def read_voi_config(path) -> model.VoiConfig:
+    """Read a value-assessment config from a JSON file, without validating it."""
+    return _voi_config(_read_document(path), "document", "")
+
+
+def read_scenario(path) -> sim.ScenarioConfig:
+    """Read a simulation scenario from a JSON file, without validating it."""
+    return sim.ScenarioConfig(**_fields(_read_document(path), "document", "", SCENARIO_READERS))
+
+
 def load_voi_config(path) -> model.VoiConfig:
-    """Load a value-assessment config from a JSON file."""
+    """Read a value-assessment config from a JSON file and validate it."""
     return voi_config_from_dict(_read_document(path))
 
 
 def load_scenario(path) -> sim.ScenarioConfig:
-    """Load a simulation scenario from a JSON file."""
+    """Read a simulation scenario from a JSON file and validate it."""
     return scenario_from_dict(_read_document(path))

@@ -525,7 +525,7 @@ def _finalize(state: SimState) -> SimMetrics:
         generated_count=state.generated,
         delivered_count=delivered,
         dropped_count=state.dropped,
-        residual_count=len(state.queue),
+        residual_count=state.generated - state.dropped - delivered_n,  # what is still queued
         delivered_value=state.delivered_value,
         mean_age_at_delivery_ms=state.ages_sum_ms / delivered_n if delivered_n else 0.0,
         max_age_at_delivery_ms=state.age_max_ms,

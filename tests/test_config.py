@@ -182,6 +182,33 @@ def test_unknown_key_exits_2_naming_it(capsys, tmp_path, command, path, value, f
     assert_exits_2_naming(capsys, tmp_path, command, path, value, field)
 
 
+# A file that fails its check and an option that fails its own: each command
+# checks the file first, so the file's error, exit 2, is the one reported.
+ERROR_ORDER = [
+    (SAFETY, ("cr_threshold",), 0, ["check", "--config", "{bad}", "--gamma", "12"],
+     "cr_threshold", 3),
+    (SAFETY, ("cr_threshold",), 0,
+     ["sweep", "--config", "{bad}", "--steps", "1", "--out", "{tmp}/o.csv"], "cr_threshold", 3),
+    (OVERLOAD, ("gamma",), 12, ["simulate", "--scenario", "{bad}", "--out", "{tmp}/no/o.csv"],
+     "gamma", EXIT_ERROR),
+]
+
+
+@pytest.mark.parametrize("source,path,value,argv,field,option_code", ERROR_ORDER,
+                         ids=["check-gamma", "sweep-steps", "simulate-out"])
+def test_a_malformed_file_exits_2_before_an_option_is_checked(
+    capsys, tmp_path, source, path, value, argv, field, option_code
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(replaced(document(source), path, value)), encoding="utf-8")
+    assert main([a.format(bad=bad, tmp=tmp_path) for a in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: config: {field}: ")
+    # The option alone, with the file as bundled, fails by its own exit code.
+    assert main([a.format(bad=source, tmp=tmp_path) for a in argv]) == option_code
+    capsys.readouterr()
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_loading_a_scenario_validates_its_voi_config_once(monkeypatch):
     calls = []
 

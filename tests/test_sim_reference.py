@@ -489,6 +489,25 @@ def test_queue_length_builds_no_message(monkeypatch):
         assert metrics.residual_count == 3 * 50 - 50
 
 
+def test_the_residual_is_counted_without_measuring_the_queue(configs_dir, monkeypatch):
+    # residual = generated - dropped - delivered, from the run's counters.
+    # The reference measures its own queue, so the bundled overload checks
+    # the value; the 20,000-slot run drops messages, so every term counts.
+    def measured(self):
+        raise AssertionError("the residual measured the queue")
+
+    monkeypatch.setattr(sim._QueueView, "__len__", measured)
+    config = load_scenario(configs_dir / "overload_scenario.json")
+    assert_matches_reference(config)
+    config = dataclasses.replace(config, duration_slots=20_000)
+    residuals = {}
+    for policy in POLICIES:
+        metrics, _ = run(config, policy, log=False)
+        assert metrics.dropped_count > 0
+        residuals[policy] = metrics.residual_count
+    assert residuals == {"voi": 10_718, "fifo": 21_439}  # the queued messages, lane by lane
+
+
 # --- linear scaling -----------------------------------------------------------
 
 

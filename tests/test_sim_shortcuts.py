@@ -688,22 +688,23 @@ def test_a_run_from_a_prepared_state_does_not_validate(configs_dir, monkeypatch)
 
 
 #: Calls of one ``voinet simulate --log`` of the bundled overload scenario:
-#: the load and the one preparation validate, each checking the 4 matrices,
-#: and one assessment solves the attribute and the conditional matrices.
+#: the file is read without a check, the one preparation validates it,
+#: checking the 4 matrices once, and one assessment solves the attribute and
+#: the conditional matrices.
 SIMULATE_CALLS = {
-    "sim.validate_scenario": 2,
-    "model.validate_config": 2,
-    "ahp.validate": 8,
+    "sim.validate_scenario": 1,
+    "model.validate_config": 1,
+    "ahp.validate": 4,
     "model.source_scores": 1,
     "ahp.principal_eigenvectors": 2,
 }
 
 #: Calls of ``voinet check`` and ``voinet sweep`` of the bundled config: the
-#: load validates, and the one assessment, given the bare config, validates
-#: again before its two solves.
+#: file is read without a check and validated once, and the one assessment,
+#: given the checked config, makes its two solves without another check.
 ASSESS_CALLS = {
-    "model.validate_config": 2,
-    "ahp.validate": 8,
+    "model.validate_config": 1,
+    "ahp.validate": 4,
     "ahp.principal_eigenvectors": 2,
 }
 
