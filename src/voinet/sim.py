@@ -36,10 +36,15 @@ front (a lane that sends and still holds messages gets its next key
 inserted in order), skips a lane whose next message does not fit, and
 stops once no live generator's size fits.
 The skipped lanes and the leftover keys' lanes are then every non-empty
-lane, each once: the next slot's carried list.  Keys leave in increasing
-order, as from a heap: each names its generator, so none are equal, and an
-inserted key sorts after the one just taken (an equal-rank run's next key
-has a later slot, the key after a run a lower value, so a larger rank).
+lane, each once: the next slot's carried list.  Before the drop gate a
+fifo lane's head moves only when it sends, and a send inserts its next
+key, so fifo carries those keys as they are, in order (an unsent
+arrival's index made 0), to the front of the next slot's list, ahead of
+its arrivals' later slots, and neither re-keys nor sorts.  Keys leave in
+increasing order, as from a heap: each names its generator, so none are
+equal, and an inserted key sorts after the one just taken (an equal-rank
+run's next key has a later slot, the key after a run a lower value, so a
+larger rank).
 That sends, keeps and drops exactly what sorting the whole queue would, at
 a cost per slot that grows with the lanes visited, not the queue length.
 
@@ -59,7 +64,10 @@ slot_ms`` finite, so its age is exactly 0), and a lane's drop check stops
 at it, as that value is positive.  After a send, an equal-rank run's next
 message is the lane's next, keyed on the same rank with no evaluation.  A
 fifo lane is one such run from index 0, so fifo evaluates decay only for
-the drop check at a lane's old end and for the messages it sends.
+the drop check at a lane's old end and for the messages it sends.  A voi
+lane whose newest message is this slot's is keyed on it with no evaluation
+if its generator is tie-free: worth less at ``_min_older_age`` than fresh,
+so no older message is worth as much.
 Deliveries are counted per generator, and the metrics sum them per source
 at the end of the run.
 
@@ -207,12 +215,13 @@ class SimState:
     messages, oldest first, exactly at slot boundaries (within a slot, a
     message that arrives in an empty lane joins it only when the slot ends
     without sending it); ``_carried`` lists the lanes that were non-empty
-    when the last slot ended, each once: the lanes the next slot re-keys.
-    ``_fresh[k]`` is generator ``k``'s message value at age 0 (a generator
-    whose fresh value is 0 never queues a message), ``_delivered[k]`` its
-    count of sent messages.  ``_smallest_size`` is the smallest size of a
-    live generator's messages; before slot ``_first_drop_slot`` no queued
-    message can have decayed to 0.
+    when the last slot ended, each once, in key order: the lanes the next
+    slot keys.  ``_fresh[k]`` is generator ``k``'s message value at age 0
+    (a generator whose fresh value is 0 never queues a message),
+    ``_tie_free[k]`` whether each of its messages older than its slot is
+    worth less than that, ``_delivered[k]`` its count of sent messages.
+    ``_smallest_size`` is the smallest size of a live generator's messages;
+    before slot ``_first_drop_slot`` no queued message can have decayed to 0.
     """
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
@@ -241,6 +250,9 @@ class SimState:
             bisect_left(range(duration), True, key=drops_by)
             if duration and drops_by(duration - 1) else duration
         )
+        a_min = _min_older_age(config.slot_ms, duration)
+        self._tie_free = [decayed_voi(b, a_min, s, q, half_life_ms) < v
+                          for (b, s, q), v in zip(factors, fresh)]
         self._smallest_size = min((s for s, v in zip(sizes, fresh) if v > 0.0), default=1)
         groups = _period_groups(generators)  # group g is bit 1 << g of a due set
         self._arrivals = [(len(ks), [k for k in ks if fresh[k] > 0.0]) for _, ks in groups]
@@ -320,6 +332,16 @@ def _period_groups(generators: list[GeneratorSpec]) -> list[tuple[int, list[int]
     return list(groups.items())
 
 
+def _min_older_age(slot_ms: float, duration: int) -> float:
+    """A float age below every ``t * slot_ms - s * slot_ms`` with ``0 <= s < t < duration``.
+
+    Rounding is monotone, so the smallest such age is at ``s = t - 1``, and
+    its three roundings leave it at least ``slot_ms * (1 - (2t + 1) * 2**-53)``
+    (a subnormal product or difference is exact).  0 from 2**51 slots.
+    """
+    return slot_ms * max(0.0, 1 - 4 * max(duration, 1) * 2.0**-53)
+
+
 def _arrival_order(arrivals, due: int, entries) -> tuple[int, int, list[tuple[float, int]]]:
     """The groups in ``due``: counts of emitting and of dead generators, the live entries sorted."""
     groups = [group for g, group in enumerate(arrivals) if due >> g & 1]
@@ -387,7 +409,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     by all orders.  Past ``ARRIVAL_ORDERS`` due sets an order is built and
     not kept; the worklist is sorted anyway, so no output depends on it.
     """
-    slots, carried, fresh, sizes = state._slots, state._carried, state._fresh, state._sizes
+    slots, fresh, sizes = state._slots, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
     arrivals, counts, sources = state._arrivals, state._delivered, state._sources
     always_due, due_checks, orders = state._always_due, state._due_checks, state._orders[policy]
@@ -395,12 +417,15 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
     first_drop_slot, smallest_size = state._first_drop_slot, state._smallest_size
+    tie_free = state._tie_free
     by_value = policy == "voi"
     write_row = None if state.log is None else state.log.write_row
     generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
     delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
     age_max_ms = state.age_max_ms
     entries = [(-v if by_value else 0.0, k) for k, v in enumerate(fresh)]  # shared by the orders
+    # The carried lanes' fifo keys, in order (voi reads only their generators).
+    carried = sorted((0.0, slots[k][0], k, 0) for k in state._carried)
 
     def value(k: int, s: int) -> float:
         return decayed_voi(bases[k], now_ms - s * slot_ms, spaces[k], qualities[k], half_life_ms)
@@ -409,7 +434,10 @@ def _advance(state: SimState, policy: str, end: int) -> None:
         """voi key of lane ``k``: the oldest of the equal-value run at its new end, rank -value."""
         lane = slots[k]
         i = len(lane) - 1
-        v = fresh[k] if lane[i] == slot else value(k, lane[i])
+        s = lane[i]
+        if s == slot and tie_free[k]:  # every older message is worth less than a fresh one
+            return (-fresh[k], s, k, i)
+        v = fresh[k] if s == slot else value(k, s)
         if i and value(k, lane[i - 1]) == v:
             i = bisect_left(lane, v, 0, i, key=lambda s: value(k, s))
         return (-v, lane[i], k, i)
@@ -438,14 +466,17 @@ def _advance(state: SimState, policy: str, end: int) -> None:
         # Before the gate no value can have decayed to 0.  A message of this
         # slot is worth fresh[k] > 0, so a lane's drops stop at it.
         check_drops = slot >= first_drop_slot
-        for k in carried:
-            lane = slots[k]
-            while check_drops and lane and not value(k, lane[0]) > 0.0:
-                lane.popleft()
-                dropped += 1
-            if lane:
-                keys.append(best(k) if by_value else (0.0, lane[0], k, 0))
-        keys.sort()
+        if by_value or check_drops:
+            for _, _, k, _ in carried:
+                lane = slots[k]
+                while check_drops and lane and not value(k, lane[0]) > 0.0:
+                    lane.popleft()
+                    dropped += 1
+                if lane:
+                    keys.append(best(k) if by_value else (0.0, lane[0], k, 0))
+            keys.sort()
+        else:  # fifo before the gate: no carried key moved, and each precedes the arrivals'
+            keys[:0] = carried
 
         remaining = budget
         while keys and remaining >= smallest_size:  # below it, no queued message fits
@@ -476,17 +507,18 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 write_row(slot, s * generators + k, sources[k], v, size)
         transmitted_bits += budget - remaining
         # Every non-empty lane was skipped or still has its key in the worklist,
-        # and a new lane's unsent message joins its lane.
+        # in key order, and a new lane's unsent message joins its lane.
         skipped += keys
         if unsent:
-            for _, _, k, i in skipped:
+            for at, (rank, s, k, i) in enumerate(skipped):
                 if i < 0:
                     slots[k].append(slot)
-        carried = [key[2] for key in skipped]
+                    skipped[at] = (rank, s, k, 0)
+        carried = skipped
 
     state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
     state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
-    state.age_max_ms, state._carried = age_max_ms, carried
+    state.age_max_ms, state._carried = age_max_ms, [key[2] for key in carried]
     state.slot = end
     if hasattr(state.log, "flush"):  # a run or step leaves every row it sent in the file
         state.log.flush()

@@ -8,6 +8,8 @@ every slot must send in increasing key order.
 """
 
 import dataclasses
+import hashlib
+import io
 import math
 import time
 
@@ -19,7 +21,7 @@ from voinet import sim
 from voinet.config import load_scenario
 from voinet.errors import DomainError
 from voinet.model import DecayProfile, SourceKind, SpaceShape, effective_voi
-from voinet.sim import GeneratorSpec, ScenarioConfig, initial_state, run, step
+from voinet.sim import GeneratorSpec, ScenarioConfig, SimMetrics, initial_state, run, step
 
 from conftest import safety_config
 from oracles import reference_initial_state, reference_run, reference_step
@@ -506,6 +508,35 @@ def test_the_residual_is_counted_without_measuring_the_queue(configs_dir, monkey
         assert metrics.dropped_count > 0
         residuals[policy] = metrics.residual_count
     assert residuals == {"voi": 10_718, "fifo": 21_439}  # the queued messages, lane by lane
+
+
+#: The 20,000-slot overload's metrics and transmission-log SHA-256 per policy.
+#: It is the only tested run in which fifo crosses its drop gate (slot 5357),
+#: and the sort-every-slot reference cannot run it in reasonable time.
+OVERLOAD_20000 = {
+    "voi": (
+        SimMetrics(80_000, {SourceKind.SURROUNDING: 20_000, SourceKind.POSITION: 20_000},
+                   29_282, 10_718, 16529.3650793681, 0.0, 0.0, 1.0),
+        "0cfb2cc5e55ea703780fa9c8249e5267b000bf3eef6b215ffbcf32dc08bdb63f",
+    ),
+    "fifo": (
+        SimMetrics(80_000, {SourceKind.SURROUNDING: 20_005, SourceKind.POSITION: 19_995},
+                   18_561, 21_439, 7.410890826077979, 392375.1475, 536100.0, 1.0),
+        "f330c9bb39eef5225593c4485b903f933a8fd9378e031f01f5064391c0668d1d",
+    ),
+}
+
+
+def test_overload_at_20000_slots_keeps_its_bytes(configs_dir):
+    config = load_scenario(configs_dir / "overload_scenario.json")
+    config = dataclasses.replace(config, duration_slots=20_000)
+    state = initial_state(config)
+    assert state._first_drop_slot == 5357
+    for policy in POLICIES:
+        fh = io.StringIO()
+        metrics, _ = run(state, policy, log=sim.TransmissionLogWriter(fh))
+        digest = hashlib.sha256(fh.getvalue().encode()).hexdigest()
+        assert (metrics, digest) == OVERLOAD_20000[policy], policy
 
 
 # --- linear scaling -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """The simulator's shortcuts: no drop check before the first slot that can
 drop, no pop once nothing fits, a slot that visits only the lanes the last
-one left queued, no lane for a message sent in the slot it arrives, log
+one left queued, a fifo worklist carried unsorted to the next slot before
+that first slot, a voi key for a tie-free lane's fresh message with no
+decay call, no lane for a message sent in the slot it arrives, log
 rows formatted without the csv module and written in batches, a scenario
 prepared once for every policy run, and arrivals taken in key order from
 one cached order per set of due periods.
@@ -10,11 +12,13 @@ drops; that slot must be the first at which some live generator's slot-0
 message, the oldest a queue can hold, is worth 0.  Once the budget left is
 below ``SimState._smallest_size`` a step pops no more keys from its sorted
 worklist.  ``SimState._carried``, the lanes the next slot starts from, must
-name every non-empty lane once and no other lane.  A message that arrives
-in an empty lane and is sent in the same slot is never appended to the
-lane.  ``TransmissionLogWriter`` writes its rows in batches of at most
-``BATCH_ROWS``; its bytes must equal what ``csv.writer`` writes for the
-same rows.  Runs started from one prepared ``SimState`` must each equal a
+name every non-empty lane once and no other lane.  ``_min_older_age`` must
+lie at or below every computed age of a message older than its slot, so a
+generator in ``SimState._tie_free`` cannot tie its fresh message with an
+older one.  A message that arrives in an empty lane and is sent in the
+same slot is never appended to the lane.  ``TransmissionLogWriter`` writes
+its rows in batches of at most ``BATCH_ROWS``; its bytes must equal what
+``csv.writer`` writes for the same rows.  Runs started from one prepared ``SimState`` must each equal a
 run of a fresh copy of the scenario, and ``voinet simulate`` must validate
 and assess its scenario once for both policies; ``check``, ``sweep`` and
 ``simulate`` each make a pinned number of checks and solves.  A run builds
@@ -26,8 +30,11 @@ import copy
 import csv
 import dataclasses
 import importlib
+import importlib.util
 import io
+import json
 import math
+import random
 import struct
 import sys
 from collections import deque
@@ -38,7 +45,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import sim
 from voinet.cli import main
-from voinet.config import load_scenario
+from voinet.config import load_scenario, scenario_from_dict
 from voinet.model import (
     ApplicationKind,
     Attribute,
@@ -346,6 +353,159 @@ def test_carried_lanes_are_the_non_empty_lanes(name, configs_dir):
             )
             carried_slots += bool(carried)
         assert carried_slots > 0, policy
+
+
+# --- keys that decay cannot move ----------------------------------------------
+
+
+def ages(slot_ms, pairs):
+    """``now_ms - s * slot_ms`` with ``now_ms = t * slot_ms``, as ``_advance`` computes an age."""
+    return [t * slot_ms - s * slot_ms for t, s in pairs]
+
+
+SLOT_MS_EDGES = [100.0, 0.1, 1 / 3, SUBNORMAL_MIN, 2.0**-1022, 1e300 / 4096]
+
+
+def random_slot_ms(count, seed):
+    """Positive floats spread over every binade a 10**7-slot run can hold."""
+    rng = random.Random(seed)
+    return [math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1074, 970)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("slot_ms", SLOT_MS_EDGES + random_slot_ms(20, 30))
+def test_no_older_message_is_younger_than_the_floor(slot_ms):
+    # Every age of a message older than its slot, all pairs over 300 slots
+    # and the last 2000 one-slot ages of 10**7 slots, is at least the floor
+    # the scheduler computes for that duration.  A floor of slot_ms itself
+    # fails at 0.1: 8 * 0.1 - 7 * 0.1 is 0.09999999999999998.
+    floor = sim._min_older_age(slot_ms, 300)
+    assert 0.0 < floor <= slot_ms
+    assert min(ages(slot_ms, ((t, s) for t in range(300) for s in range(t)))) >= floor
+    duration = 10**7
+    floor = sim._min_older_age(slot_ms, duration)
+    last = range(duration - 2000, duration)
+    assert min(ages(slot_ms, ((t, t - 1) for t in last))) >= floor
+
+
+def test_the_floor_is_zero_past_two_to_the_51_slots():
+    # 1 - 4 * duration * 2**-53 is negative there: a negative floor would
+    # raise a generator's value (or overflow 2.0 ** x) instead of bounding it.
+    assert sim._min_older_age(1.0, 2**51) == sim._min_older_age(1.0, 2**52) == 0.0
+    state = one_generator_state(1.0, 1.0, 1.0, 1e-6, 1.0, 2**52)
+    assert state._tie_free == [False]
+
+
+def benchmark_scenarios(configs_dir):
+    """The bundled overload at 200 and 800 slots and the benchmark's fleets of seeds 0-2."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", configs_dir.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up as it is made
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    overload = load_scenario(configs_dir / "overload_scenario.json")
+    template = json.loads((configs_dir / "overload_scenario.json").read_text(encoding="utf-8"))
+    return {
+        "overload": overload,
+        "overload-800": dataclasses.replace(overload, duration_slots=workloads.OVERLOAD_SLOTS),
+        **{
+            f"fleet-{seed}": scenario_from_dict(workloads.fleet_scenario(seed, template))
+            for seed in range(3)
+        },
+    }
+
+
+def test_every_live_generator_of_the_benchmark_is_tie_free(configs_dir):
+    # Each live generator's value at the floor is below its fresh value, so
+    # a voi lane whose newest message is this slot's is keyed with no decay
+    # evaluation.  With a half-life of 1e300 ms nothing decays and none is:
+    # a lane's bisection to its oldest equal-value message still runs (on
+    # the fleet, keying such a lane on its fresh message changes the log).
+    scenarios = benchmark_scenarios(configs_dir)
+    for name, config in scenarios.items():
+        state = initial_state(config)
+        live = [k for k, value in enumerate(state._fresh) if value > 0.0]
+        assert live and all(state._tie_free[k] for k in live), name
+    for config in (scenarios["overload"], fleet(0)):
+        decay = dataclasses.replace(config.voi_config.decay, time_half_life_ms=1e300)
+        config.voi_config = dataclasses.replace(config.voi_config, decay=decay)
+        assert not any(initial_state(config)._tie_free)
+        for policy in ("voi", "fifo"):
+            assert run(config, policy) == reference_run(config, policy), policy
+
+
+def test_decay_evaluations_on_the_bundled_overload(configs_dir, monkeypatch):
+    # voi sends only fresh messages there and each of its lanes is tie-free,
+    # so it evaluates no decay; fifo evaluates it once for each message it
+    # sends after its arrival slot.
+    state = initial_state(load_scenario(configs_dir / "overload_scenario.json"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decayed_voi(*args)
+
+    monkeypatch.setattr(sim, "decayed_voi", counted)
+    evaluations = {}
+    for policy in ("voi", "fifo"):
+        calls.clear()
+        run(state, policy, log=False)
+        evaluations[policy] = len(calls)
+    assert evaluations == {"voi": 0, "fifo": 398}
+
+
+def worklist_sorts(config, policy):
+    """How many times one run sorts a list in place: once per re-keyed worklist."""
+    sorts = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "sort":
+            sorts[0] += 1
+
+    state = initial_state(config)
+    sys.setprofile(profile)
+    try:
+        run(state, policy, log=False)
+    finally:
+        sys.setprofile(None)
+    return sorts[0]
+
+
+@pytest.mark.parametrize("name", ["overload", "underflow", "oversized"])
+def test_fifo_sorts_its_worklist_only_from_the_gate(name, configs_dir):
+    # Before the gate a fifo lane's key moves only when the lane sends, and a
+    # send inserts the next one in order, so fifo carries its worklist from
+    # slot to slot.  From the gate on, drops move lane heads, and fifo
+    # re-keys and sorts every slot, as voi always does.
+    config = {
+        "overload": lambda: load_scenario(configs_dir / "overload_scenario.json"),
+        "underflow": underflow_scenario,  # crosses the drop bound
+        "oversized": oversized_scenario,  # skips a lane every slot
+    }[name]()
+    gate = initial_state(config)._first_drop_slot
+    assert worklist_sorts(config, "fifo") == config.duration_slots - gate
+    assert worklist_sorts(config, "voi") == config.duration_slots
+    if name == "underflow":
+        assert 0 < gate < config.duration_slots
+
+
+@pytest.mark.parametrize("name", ["fleet", "underflow"])
+def test_switching_policies_between_steps_matches_reference(name):
+    # The carried keys a step starts from are rebuilt in fifo order, so a
+    # fifo step after voi steps (which leave their lanes in voi order) still
+    # sends in fifo order.
+    config = {"fleet": lambda: fleet(0), "underflow": underflow_scenario}[name]()
+    state, reference = initial_state(config), reference_initial_state(config)
+    for slot in range(config.duration_slots):
+        policy = ("voi", "fifo")[slot // 7 % 2]
+        step(state, policy)
+        reference_step(reference, policy)
+    assert state.log == reference.log
+    assert (state.generated, state.dropped) == (reference.generated, reference.dropped)
+    assert state.delivered_value == reference.delivered_value
 
 
 # --- messages sent on arrival -------------------------------------------------
