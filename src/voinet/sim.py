@@ -30,8 +30,10 @@ without sending it.  A lane carried from the last slot has its zero-valued
 prefix dropped and its next message keyed (which can be this slot's
 message, appended on arrival, so the index marks a message outside its
 lane, not the slot).  The slot sorts the keys into one worklist on the
-policy's order; the new lanes' keys, taken from one cached order per set
-of due periods, come first as one sorted run.  It takes them from the
+policy's order; the new lanes' keys come first as one sorted run, from an
+order cached per ``gcd(slot, cycle)``: with the cycle the least common
+multiple of the periods (each capped at the duration), a period divides
+the slot exactly when it divides that gcd.  It takes them from the
 front (a lane that sends and still holds messages gets its next key
 inserted in order), skips a lane whose next message does not fit, and
 stops once no live generator's size fits.
@@ -101,6 +103,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from copy import copy
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import ahp
@@ -119,7 +122,7 @@ from .model import (
 )
 
 POLICIES = ("voi", "fifo")
-ARRIVAL_ORDERS = 1024  #: the most due sets whose arrival order one run keeps
+ARRIVAL_ORDERS = 1024  #: the most ``gcd(slot, cycle)`` keys whose arrival order one run keeps
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,8 @@ class SimState:
     worth less than that, ``_delivered[k]`` its count of sent messages.
     ``_smallest_size`` is the smallest size of a live generator's messages;
     before slot ``_first_drop_slot`` no queued message can have decayed to 0.
+    ``_periods[k]`` is generator ``k``'s period capped at the duration, and
+    ``_cycle`` their least common multiple.
     """
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
@@ -254,10 +259,10 @@ class SimState:
         self._tie_free = [decayed_voi(b, a_min, s, q, half_life_ms) < v
                           for (b, s, q), v in zip(factors, fresh)]
         self._smallest_size = min((s for s, v in zip(sizes, fresh) if v > 0.0), default=1)
-        groups = _period_groups(generators)  # group g is bit 1 << g of a due set
-        self._arrivals = [(len(ks), [k for k in ks if fresh[k] > 0.0]) for _, ks in groups]
-        self._always_due = sum(1 << g for g, (period, _) in enumerate(groups) if period == 1)
-        self._due_checks = [(1 << g, period) for g, (period, _) in enumerate(groups) if period > 1]
+        # A period of at least the duration emits only at slot 0, as the duration does, and
+        # the cap keeps the cycle small: lcm of 2000 periods near 2**1000 took seconds.
+        self._periods = [min(gen.period_slots, max(duration, 1)) for gen in generators]
+        self._cycle = lcm(*self._periods)
         self._start()
 
     def _start(self) -> SimState:
@@ -268,7 +273,7 @@ class SimState:
         self._slots: list[deque[int]] = [deque() for _ in self._sizes]
         self._carried: list[int] = []
         self._delivered = [0] * len(self._sizes)
-        self._orders = {policy: {} for policy in POLICIES}  # per policy: due set -> arrival order
+        self._orders = {policy: {} for policy in POLICIES}  # per policy: gcd -> arrival order
         return self
 
     @property
@@ -324,14 +329,6 @@ def _check_policy(policy: str) -> None:
         raise DomainError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _period_groups(generators: list[GeneratorSpec]) -> list[tuple[int, list[int]]]:
-    """Generator indices grouped by period, each group in index order."""
-    groups: dict[int, list[int]] = {}
-    for index, gen in enumerate(generators):
-        groups.setdefault(gen.period_slots, []).append(index)
-    return list(groups.items())
-
-
 def _min_older_age(slot_ms: float, duration: int) -> float:
     """A float age below every ``t * slot_ms - s * slot_ms`` with ``0 <= s < t < duration``.
 
@@ -342,12 +339,11 @@ def _min_older_age(slot_ms: float, duration: int) -> float:
     return slot_ms * max(0.0, 1 - 4 * max(duration, 1) * 2.0**-53)
 
 
-def _arrival_order(arrivals, due: int, entries) -> tuple[int, int, list[tuple[float, int]]]:
-    """The groups in ``due``: counts of emitting and of dead generators, the live entries sorted."""
-    groups = [group for g, group in enumerate(arrivals) if due >> g & 1]
-    emitting = sum(count for count, _ in groups)
-    order = sorted(entries[k] for _, live in groups for k in live)
-    return emitting, emitting - len(order), order
+def _arrival_order(periods, due: int, entries, fresh) -> tuple[int, int, list[tuple[float, int]]]:
+    """Generators whose period divides ``due``: emitting and dead counts, live entries sorted."""
+    emitting = [k for k, period in enumerate(periods) if due % period == 0]
+    order = sorted(entries[k] for k in emitting if fresh[k] > 0.0)
+    return len(emitting), len(emitting) - len(order), order
 
 
 def _message(
@@ -380,9 +376,8 @@ def generate(
         raise DomainError(f"slot {slot} >= duration {config.duration_slots}")
     if base_scores is None:
         base_scores = source_scores(config.voi_config, config.gamma)
-    groups = _period_groups(config.generators)
-    due = sorted(index for period, indices in groups if slot % period == 0 for index in indices)
-    return [_message(config, slot, index, base_scores) for index in due]
+    return [_message(config, slot, index, base_scores)
+            for index, gen in enumerate(config.generators) if slot % gen.period_slots == 0]
 
 
 def schedule(queue: list[Message], now_ms: float, config: ScenarioConfig) -> list[Message]:
@@ -402,17 +397,19 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     The state's attributes, the log's ``write_row`` and the decay helpers
     are bound once per call, and the counters are kept in locals and
-    written back to ``state`` when the call returns.  A slot's due period
-    groups, as a bitmask (period 1 always due), key the run's cache of
-    arrival orders: the counts of emitting and dead generators and the live
-    ones' ``(rank, k)`` entries in key order, one entry per generator shared
-    by all orders.  Past ``ARRIVAL_ORDERS`` due sets an order is built and
-    not kept; the worklist is sorted anyway, so no output depends on it.
+    written back to ``state`` when the call returns.  ``gcd(slot, cycle)``
+    keys the run's cache of arrival orders (at slot 0 it is the cycle, so
+    every generator emits): the counts of emitting and dead generators and
+    the live ones' ``(rank, k)`` entries in key order, one entry per
+    generator shared by all orders.  A set of due generators can have more
+    than one key (for periods 4 and 6, keys 1, 2 and 3 all mean none due).
+    Past ``ARRIVAL_ORDERS`` keys an order is built and not kept; the
+    worklist is sorted anyway, so no output depends on it.
     """
     slots, fresh, sizes = state._slots, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
-    arrivals, counts, sources = state._arrivals, state._delivered, state._sources
-    always_due, due_checks, orders = state._always_due, state._due_checks, state._orders[policy]
+    periods, counts, sources = state._periods, state._delivered, state._sources
+    cycle, orders = state._cycle, state._orders[policy]
     generators, config = len(slots), state.config
     half_life_ms = config.voi_config.decay.time_half_life_ms
     slot_ms, budget = config.slot_ms, config.channel_bits_per_slot
@@ -444,13 +441,11 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     for slot in range(state.slot, end):
         now_ms = slot * slot_ms
-        keys, skipped, due = [], [], always_due
-        for bit, period in due_checks:
-            if slot % period == 0:
-                due |= bit
+        keys, skipped = [], []
+        due = gcd(slot, cycle)  # a period divides the slot exactly when it divides this
         order = orders.get(due)
         if order is None:
-            order = _arrival_order(arrivals, due, entries)
+            order = _arrival_order(periods, due, entries, fresh)
             if len(orders) < ARRIVAL_ORDERS:
                 orders[due] = order
         generated += order[0]

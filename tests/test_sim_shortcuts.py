@@ -5,7 +5,7 @@ that first slot, a voi key for a tie-free lane's fresh message with no
 decay call, no lane for a message sent in the slot it arrives, log
 rows formatted without the csv module and written in batches, a scenario
 prepared once for every policy run, and arrivals taken in key order from
-one cached order per set of due periods.
+one cached order per ``gcd(slot, cycle)``.
 
 Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
 drops; that slot must be the first at which some live generator's slot-0
@@ -21,9 +21,14 @@ its rows in batches of at most ``BATCH_ROWS``; its bytes must equal what
 ``csv.writer`` writes for the same rows.  Runs started from one prepared ``SimState`` must each equal a
 run of a fresh copy of the scenario, and ``voinet simulate`` must validate
 and assess its scenario once for both policies; ``check``, ``sweep`` and
-``simulate`` each make a pinned number of checks and solves.  A run builds
-one arrival order per distinct set of due periods, each strictly increasing
-in ``(rank, generator)``, and keeps at most ``ARRIVAL_ORDERS`` of them.
+``simulate`` each make a pinned number of checks and solves.  A slot keys
+its arrival order by ``gcd(slot, SimState._cycle)``, the cycle being the
+least common multiple of the periods capped at the duration: the order must
+list exactly the generators whose uncapped period divides the slot, and the
+cap must keep preparing huge distinct periods fast.  Each order is strictly
+increasing in ``(rank, generator)``; the benchmark's overload builds 1 and
+its fleet 48 (one per divisor of 2520, each a distinct set of due periods),
+and a run keeps at most ``ARRIVAL_ORDERS`` of them.
 """
 
 import copy
@@ -37,6 +42,7 @@ import math
 import random
 import struct
 import sys
+import time
 from collections import deque
 
 import numpy as np
@@ -69,6 +75,7 @@ from voinet.sim import (
 from oracles import reference_initial_state, reference_run, reference_step
 from test_sim_reference import (
     HALF_LIFE_MS,
+    assert_matches_reference,
     fleet,
     fuzz_scenarios,
     gen,
@@ -740,9 +747,9 @@ def test_one_sorted_arrival_order_per_due_set(name, expected, configs_dir, monke
     assert len(due_sets(config)) == expected
     built = []
 
-    def counted(arrivals, due, entries, _original=sim._arrival_order):
+    def counted(periods, due, entries, fresh, _original=sim._arrival_order):
         built.append(due)
-        return _original(arrivals, due, entries)
+        return _original(periods, due, entries, fresh)
 
     monkeypatch.setattr(sim, "_arrival_order", counted)
     for policy in ("voi", "fifo"):
@@ -792,6 +799,61 @@ def test_arrival_orders_past_the_bound_match_reference(name, monkeypatch):
             step(state, policy)
             assert len(state._orders[policy]) <= 4, (policy, state.slot)
         assert (sim._finalize(state), state.log) == expected, policy
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data(), duration=st.integers(0, 40))
+def test_the_gcd_key_emits_the_generators_whose_period_divides_the_slot(data, duration):
+    # Periods at, just past and far past the duration are capped to it, and
+    # each slot's emitting set and dead count must be those of the raw periods.
+    period = st.integers(1, 13) | st.sampled_from([max(duration, 1), duration + 1, 10**300])
+    periods = data.draw(st.lists(period, min_size=1, max_size=8))
+    qualities = data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=len(periods),
+                                   max_size=len(periods)))
+    config = scenario([gen(period=p, quality=q) for p, q in zip(periods, qualities)],
+                      duration=duration)
+    state = sim.SimState(config, {SourceKind.SURROUNDING: 1.0})
+    assert state._periods == [min(p, max(duration, 1)) for p in periods]
+    entries = [(0.0, k) for k in range(len(periods))]
+    for t in range(duration):
+        due = math.gcd(t, state._cycle)
+        expected = [k for k, p in enumerate(periods) if t % p == 0]
+        every = sim._arrival_order(state._periods, due, entries, [1.0] * len(periods))
+        assert every == (len(expected), 0, [(0.0, k) for k in expected]), t
+        live = [k for k in expected if qualities[k] > 0.0]
+        order = sim._arrival_order(state._periods, due, entries, state._fresh)
+        assert order == (len(expected), len(expected) - len(live), [(0.0, k) for k in live]), t
+
+
+@pytest.mark.parametrize("duration", [0, 1, 300])
+@pytest.mark.parametrize("periods", [(4, 6, 9, 1000), (4, 6), (2, 3, 5, 7, 11, 13), (1, 10**300)],
+                         ids=["4-6-9-1000", "4-6", "primes", "1-huge"])
+def test_edge_period_sets_match_reference(periods, duration):
+    # Keys 1, 2 and 3 all mean none due for periods 4 and 6; a period past
+    # the duration emits only at slot 0.  Where several periods fall due
+    # together, more is offered than the budget carries.
+    sources = [SourceKind.SURROUNDING, SourceKind.POSITION]
+    generators = [
+        gen(source=sources[k % 2], period=p, size=500 + 100 * k, quality=0.4 + 0.1 * k,
+            position=(30.0 * k, 0.0))
+        for k, p in enumerate(periods)
+    ]
+    assert_matches_reference(scenario(generators, duration=duration, budget=900))
+
+
+def test_huge_distinct_periods_prepare_in_under_a_second():
+    # Uncapped, the lcm of these periods took seconds; capped at the
+    # duration, every generator emits at slot 0 only.
+    config = scenario([gen(period=2**1000 + k) for k in range(2000)], duration=3)
+    start = time.perf_counter()
+    state = initial_state(config)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"preparing took {elapsed:.2f} s, bound is 1 s"
+    assert state._cycle == 3
+    for policy in ("voi", "fifo"):
+        assert run(state, policy, log=False)[0].generated_count == 2000, policy
 
 
 # --- the prepared scenario ----------------------------------------------------
