@@ -42,6 +42,7 @@ import os
 import stat
 import sys
 from functools import partial
+from itertools import groupby
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -107,20 +108,8 @@ def gamma_sweep(
 
 def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:
     """Maximal contiguous consistent gamma intervals, at sample resolution."""
-    intervals = []
-    start = None
-    previous = None
-    for row in rows:
-        if row.is_consistent:
-            if start is None:
-                start = row.gamma
-            previous = row.gamma
-        elif start is not None:
-            intervals.append((start, previous))
-            start = None
-    if start is not None:
-        intervals.append((start, previous))
-    return intervals
+    runs = [list(run) for ok, run in groupby(rows, lambda row: row.is_consistent) if ok]
+    return [(run[0].gamma, run[-1].gamma) for run in runs]
 
 
 def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
@@ -376,7 +365,3 @@ def main(argv=None) -> int:
     finally:
         if enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

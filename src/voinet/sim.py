@@ -403,8 +403,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     the live ones' ``(rank, k)`` entries in key order, one entry per
     generator shared by all orders.  A set of due generators can have more
     than one key (for periods 4 and 6, keys 1, 2 and 3 all mean none due).
-    Past ``ARRIVAL_ORDERS`` keys an order is built and not kept; the
-    worklist is sorted anyway, so no output depends on it.
+    Past ``ARRIVAL_ORDERS`` keys an order is built and not kept; it is
+    rebuilt identically at its key's next slot, so no output depends on it.
     """
     slots, fresh, sizes = state._slots, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import cli
 from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
@@ -100,6 +100,24 @@ def test_consistent_region_empty():
 def test_consistent_region_islands():
     rows = fabricated_rows([True, True, False, True])
     assert consistent_region(rows) == [(1.0, 2.0), (4.0, 4.0)]
+
+
+@given(st.lists(st.booleans(), max_size=40))
+@example([])
+@example([True] * 7)
+@example([False] * 7)
+def test_consistent_region_is_every_maximal_run_of_consistent_rows_in_order(flags):
+    rows = fabricated_rows(flags)
+    intervals = consistent_region(rows)
+    # A run starts at a consistent row after an inconsistent one or none,
+    # and ends at one before an inconsistent one or none.
+    padded = [False, *flags, False]
+    starts = [i for i, flag in enumerate(flags) if flag and not padded[i]]
+    ends = [i for i, flag in enumerate(flags) if flag and not padded[i + 2]]
+    assert intervals == [(rows[a].gamma, rows[b].gamma) for a, b in zip(starts, ends)]
+    for row in rows:
+        holding = sum(lo <= row.gamma <= hi for lo, hi in intervals)
+        assert holding == (1 if row.is_consistent else 0)
 
 
 def test_write_sweep_csv_format(safety):
@@ -220,6 +238,18 @@ def test_sweep_writes_csv(capsys, tmp_path, safety_path):
     assert len(lines) == 12
     assert lines[1].startswith("0.111111,")
     assert lines[-1].startswith("9.000000,")
+
+
+@pytest.mark.parametrize("flags, region", [
+    ([], "[1.089868, 8.288177]"), (["--log-space"], "[1.089564, 8.278373]")])
+def test_sweep_prints_its_row_count_and_the_consistent_region(
+        capsysbinary, tmp_path, safety_path, flags, region):
+    # The bundled profile keeps CR <= 0.1 over one gamma interval: the
+    # paper's consistency result, as the default 1000-step sweep finds it.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", safety_path, "--out", str(out), *flags]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout == f"wrote 1000 rows to {out}\nconsistent region: {region}\n".encode()
 
 
 def test_sweep_row_at_gamma_three_is_consistent(tmp_path, safety_path):

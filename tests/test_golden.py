@@ -1,8 +1,9 @@
 """Byte-for-byte equivalence of the CLI outputs with the committed ``results/`` files.
 
-The files in ``results/`` are the goldens the wrapper scripts in ``scripts/``
-write; any change to parsing, scoring, scheduling or formatting that alters
-one output byte fails here.
+The files in ``results/`` are the goldens that ``python -m voinet sweep`` and
+``simulate`` write on the bundled configs (README, "Regenerating the results");
+any change to parsing, scoring, scheduling or formatting that alters one output
+byte fails here.
 """
 
 from voinet.cli import main
