@@ -23,55 +23,52 @@ value, space factor, quality and size, so within a lane
   budget, none of the lane's messages fits for the rest of the slot.
 
 A slot therefore visits two kinds of lane.  A lane that was empty is keyed
-on arrival, on its one fresh message, which stays out of the lane (key
-index -1): sent in that slot, at age exactly 0, it touches no lane and
-moves no age sum or maximum, and it joins its lane only if the slot ends
-without sending it.  A lane carried from the last slot has its zero-valued
-prefix dropped and its next message keyed (which can be this slot's
-message, appended on arrival, so the index marks a message outside its
-lane, not the slot).  The slot sorts the keys into one worklist on the
-policy's order; the new lanes' keys come first as one sorted run, from an
-order cached per ``gcd(slot, cycle)``: with the cycle the least common
-multiple of the periods (each capped at the duration), a period divides
-the slot exactly when it divides that gcd.  It takes them from the
-front (a lane that sends and still holds messages gets its next key
-inserted in order), skips a lane whose next message does not fit, and
-stops once no live generator's size fits.
-The skipped lanes and the leftover keys' lanes are then every non-empty
-lane, each once: the next slot's carried list.  Before the drop gate a
-fifo lane's head moves only when it sends, and a send inserts its next
-key, so fifo carries those keys as they are, in order (an unsent
-arrival's index made 0), to the front of the next slot's list, ahead of
-its arrivals' later slots, and neither re-keys nor sorts.  Keys leave in
+on arrival, on its one fresh message, which stays out of the lane, so only
+such a key names an empty lane: sent in that slot, at age exactly 0, it
+touches no lane and moves no age sum or maximum; skipped, or left unwalked
+at slot end, it joins its lane, at the index 0 its key names.  A lane
+carried from the last slot has its zero-valued prefix dropped and its next
+message keyed.  The slot sorts the keys into one worklist on the policy's
+order; the new lanes' keys come first as one sorted run, from an order
+cached per ``gcd(slot, cycle)``: with the cycle the least common multiple
+of the periods (each capped at the duration), a period divides the slot
+exactly when it divides that gcd.  It walks them by index (a lane that
+sends and still holds messages gets its next key inserted past the walk),
+skips a lane whose next message does not fit, and stops once a send leaves
+no room for any live generator's size.  The skipped lanes and the keys
+past the walk are then every non-empty lane, each once: the next slot's
+carried list.  Before the drop gate a fifo lane's head moves only when it
+sends, and a send inserts its next key, so fifo carries those keys as they
+are, in order, to the front of the next slot's list, ahead of its
+arrivals' later slots, and neither re-keys nor sorts.  Keys leave in
 increasing order, as from a heap: each names its generator, so none are
 equal, and an inserted key sorts after the one just taken (an equal-rank
 run's next key has a later slot, the key after a run a lower value, so a
-larger rank).
-That sends, keeps and drops exactly what sorting the whole queue would, at
-a cost per slot that grows with the lanes visited, not the queue length.
+larger rank).  That sends, keeps and drops exactly what sorting the whole
+queue would, at a cost per slot that grows with the lanes visited, not the
+queue length.
 
 Both policies key a lane on ``(rank, slot, generator, index)``: the rank
 is ``-value`` for voi and ``0.0`` for fifo, then come the message's
-generation slot, generator and place in the lane (-1 outside it; a
-generator has one key at a time, so the index breaks no tie).  The key
-orders messages exactly as ``(rank, generated_at_ms, id)`` does, with
-``generated_at_ms = slot * slot_ms`` and ``id = slot * generators +
-generator``: ``slot_ms > 0`` and rounding is monotone, so an earlier slot
-is never generated later, and where two slots round to one time the id
-still puts the earlier slot first.  The generation time and id are
-computed only for a message that is sent.  Decay is evaluated only where
-the order needs it.  A message of the current slot is worth its
-generator's fresh value (``validate_scenario`` keeps every ``slot *
-slot_ms`` finite, so its age is exactly 0), and a lane's drop check stops
-at it, as that value is positive.  After a send, an equal-rank run's next
-message is the lane's next, keyed on the same rank with no evaluation.  A
-fifo lane is one such run from index 0, so fifo evaluates decay only for
-the drop check at a lane's old end and for the messages it sends.  A voi
-lane whose newest message is this slot's is keyed on it with no evaluation
-if its generator is tie-free: worth less at ``_min_older_age`` than fresh,
-so no older message is worth as much.
-Deliveries are counted per generator, and the metrics sum them per source
-at the end of the run.
+generation slot, generator and place in the lane (a generator has one key
+at a time, so the index breaks no tie).  The key orders messages exactly
+as ``(rank, generated_at_ms, id)`` does, with ``generated_at_ms = slot *
+slot_ms`` and ``id = slot * generators + generator``: ``slot_ms > 0`` and
+rounding is monotone, so an earlier slot is never generated later, and
+where two slots round to one time the id still puts the earlier slot
+first.  The generation time and id are computed only for a message that is
+sent.  Decay is evaluated only where the order needs it.  A message of the
+current slot is worth its generator's fresh value (``validate_scenario``
+keeps every ``slot * slot_ms`` finite, so its age is exactly 0), and a
+lane's drop check stops at it, as that value is positive.  After a send,
+an equal-rank run's next message is the lane's next, keyed on the same
+rank with no evaluation.  A fifo lane is one such run from index 0, so
+fifo evaluates decay only for the drop check at a lane's old end and for
+the messages it sends.  A voi lane whose newest message is this slot's is
+keyed on it with no evaluation if its generator is tie-free: worth less at
+``_min_older_age`` than fresh, so no older message is worth as much.  A
+generator's deliveries are not counted per send: they are its emitted
+messages less its drops and its queue (``SimState._delivered``).
 
 A positive value reaches 0 only by float underflow, after about a
 thousand half-lives, so a slot before ``_first_drop_slot``, the first at
@@ -216,13 +213,14 @@ class SimState:
     the runs that ``run`` starts from this state, and the lanes.
     ``_slots[k]`` holds the generation slots of generator ``k``'s queued
     messages, oldest first, exactly at slot boundaries (within a slot, a
-    message that arrives in an empty lane joins it only when the slot ends
-    without sending it); ``_carried`` lists the lanes that were non-empty
-    when the last slot ended, each once, in key order: the lanes the next
-    slot keys.  ``_fresh[k]`` is generator ``k``'s message value at age 0
-    (a generator whose fresh value is 0 never queues a message),
+    message that arrives in an empty lane joins it only when skipped or
+    left unwalked); ``_carried`` lists the lanes that were non-empty when
+    the last slot ended, each once, in key order: the lanes the next slot
+    keys.  ``_fresh[k]`` is generator ``k``'s message value at age 0 (a
+    generator whose fresh value is 0 never queues a message),
     ``_tie_free[k]`` whether each of its messages older than its slot is
-    worth less than that, ``_delivered[k]`` its count of sent messages.
+    worth less than that, ``_drops[k]`` its queued messages dropped, and
+    ``_delivered[k]`` its sends: emitted less ``_drops[k]`` and ``_slots[k]``.
     ``_smallest_size`` is the smallest size of a live generator's messages;
     before slot ``_first_drop_slot`` no queued message can have decayed to 0.
     ``_periods[k]`` is generator ``k``'s period capped at the duration, and
@@ -272,9 +270,14 @@ class SimState:
         self.log: TransmissionRecords | TransmissionLogWriter | None = TransmissionRecords()
         self._slots: list[deque[int]] = [deque() for _ in self._sizes]
         self._carried: list[int] = []
-        self._delivered = [0] * len(self._sizes)
+        self._drops = [0] * len(self._sizes)
         self._orders = {policy: {} for policy in POLICIES}  # per policy: gcd -> arrival order
         return self
+
+    @property
+    def _delivered(self) -> list[int]:
+        return [-(-self.slot // p) - d - len(lane) if v > 0.0 else 0
+                for p, d, lane, v in zip(self._periods, self._drops, self._slots, self._fresh)]
 
     @property
     def queue(self) -> _QueueView:
@@ -395,20 +398,18 @@ def schedule(queue: list[Message], now_ms: float, config: ScenarioConfig) -> lis
 def _advance(state: SimState, policy: str, end: int) -> None:
     """Run slots ``state.slot`` to ``end - 1``, each as ``step`` describes.
 
-    The state's attributes, the log's ``write_row`` and the decay helpers
-    are bound once per call, and the counters are kept in locals and
-    written back to ``state`` when the call returns.  ``gcd(slot, cycle)``
-    keys the run's cache of arrival orders (at slot 0 it is the cycle, so
-    every generator emits): the counts of emitting and dead generators and
-    the live ones' ``(rank, k)`` entries in key order, one entry per
-    generator shared by all orders.  A set of due generators can have more
-    than one key (for periods 4 and 6, keys 1, 2 and 3 all mean none due).
-    Past ``ARRIVAL_ORDERS`` keys an order is built and not kept; it is
-    rebuilt identically at its key's next slot, so no output depends on it.
+    ``gcd(slot, cycle)`` keys the run's cache of arrival orders (at slot 0
+    it is the cycle, so every generator emits): the counts of emitting and
+    dead generators and the live ones' ``(rank, k)`` entries in key order,
+    one entry per generator shared by all orders.  A set of due generators
+    can have more than one key (for periods 4 and 6, keys 1, 2 and 3 all
+    mean none due).  Past ``ARRIVAL_ORDERS`` keys an order is built and not
+    kept; it is rebuilt identically at its key's next slot, so no output
+    depends on it.
     """
     slots, fresh, sizes = state._slots, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
-    periods, counts, sources = state._periods, state._delivered, state._sources
+    periods, drops, sources = state._periods, state._drops, state._sources
     cycle, orders = state._cycle, state._orders[policy]
     generators, config = len(slots), state.config
     half_life_ms = config.voi_config.decay.time_half_life_ms
@@ -417,10 +418,11 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     tie_free = state._tie_free
     by_value = policy == "voi"
     write_row = None if state.log is None else state.log.write_row
-    generated, dropped, transmitted_bits = state.generated, state.dropped, state.transmitted_bits
-    delivered_value, ages_sum_ms = state.delivered_value, state.ages_sum_ms
-    age_max_ms = state.age_max_ms
-    entries = [(-v if by_value else 0.0, k) for k, v in enumerate(fresh)]  # shared by the orders
+    # dropped counts those dead on arrival, drops[k] generator k's other drops
+    generated, dropped = state.generated, state.dropped - sum(drops)
+    transmitted_bits, delivered_value = state.transmitted_bits, state.delivered_value
+    ages_sum_ms, age_max_ms = state.ages_sum_ms, state.age_max_ms
+    entries = [(-v if by_value else 0.0, k) for k, v in enumerate(fresh)]
     # The carried lanes' fifo keys, in order (voi reads only their generators).
     carried = sorted((0.0, slots[k][0], k, 0) for k in state._carried)
 
@@ -441,8 +443,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
 
     for slot in range(state.slot, end):
         now_ms = slot * slot_ms
-        keys, skipped = [], []
-        due = gcd(slot, cycle)  # a period divides the slot exactly when it divides this
+        keys, skipped, newest = [], [], ()  # newest: the last new lane's key
+        due = gcd(slot, cycle)
         order = orders.get(due)
         if order is None:
             order = _arrival_order(periods, due, entries, fresh)
@@ -455,66 +457,63 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             if lane:
                 lane.append(slot)
             else:  # a new lane: its one message, worth fresh[k], stays out of it
-                keys.append((rank, slot, k, -1))
-        unsent = len(keys)  # new lanes' messages; each joins its lane unless sent
+                keys.append(newest := (rank, slot, k, 0))
 
-        # Before the gate no value can have decayed to 0.  A message of this
-        # slot is worth fresh[k] > 0, so a lane's drops stop at it.
+        # Before the gate no value can have decayed to 0; drops stop at a fresh message.
         check_drops = slot >= first_drop_slot
         if by_value or check_drops:
             for _, _, k, _ in carried:
                 lane = slots[k]
                 while check_drops and lane and not value(k, lane[0]) > 0.0:
                     lane.popleft()
-                    dropped += 1
+                    drops[k] += 1
                 if lane:
                     keys.append(best(k) if by_value else (0.0, lane[0], k, 0))
             keys.sort()
         else:  # fifo before the gate: no carried key moved, and each precedes the arrivals'
             keys[:0] = carried
 
-        remaining = budget
-        while keys and remaining >= smallest_size:  # below it, no queued message fits
-            rank, s, k, i = key = keys.pop(0)
-            size = sizes[k]
-            if size > remaining:
-                skipped.append(key)  # the rest of the lane has this size too: none of it fits
+        remaining, at = budget, 0
+        for at, (rank, s, k, i) in enumerate(keys, 1):  # by index: it reaches keys insorted
+            size, lane = sizes[k], slots[k]
+            if size > remaining:  # the rest of the lane has this size too: none of it fits
+                if not lane:  # a new lane's message joins it here
+                    lane.append(slot)
+                skipped.append((rank, s, k, i))
                 continue
             remaining -= size
-            counts[k] += 1
-            if i < 0:  # sent in the slot it arrived, at age 0 (which moves no age sum)
-                unsent -= 1
+            if not lane:  # sent in the slot it arrived, at age 0 (which moves no age sum)
                 v = fresh[k]
             else:
-                lane = slots[k]
                 del lane[i]
                 if i < len(lane):  # the equal-rank run goes on, oldest first (all of a fifo lane)
-                    insort(keys, (rank, lane[i], k, i))
+                    insort(keys, (rank, lane[i], k, i), at)
                 elif lane:
-                    insort(keys, best(k))
-                v = -rank if by_value else (fresh[k] if s == slot else value(k, s))
+                    insort(keys, best(k), at)
                 age_ms = now_ms - s * slot_ms
                 ages_sum_ms += age_ms
                 if age_ms > age_max_ms:
                     age_max_ms = age_ms
+                v = -rank if by_value else fresh[k] if s == slot else decayed_voi(
+                    bases[k], age_ms, spaces[k], qualities[k], half_life_ms)
             delivered_value += v
             if write_row is not None:
                 write_row(slot, s * generators + k, sources[k], v, size)
+            if remaining < smallest_size:  # no queued message fits
+                break
         transmitted_bits += budget - remaining
-        # Every non-empty lane was skipped or still has its key in the worklist,
-        # in key order, and a new lane's unsent message joins its lane.
-        skipped += keys
-        if unsent:
-            for at, (rank, s, k, i) in enumerate(skipped):
-                if i < 0:
+        # A new lane's message past the walk (none if the walk took newest) joins its lane.
+        rest = keys[at:]
+        if rest and newest >= rest[0]:
+            for _, _, k, _ in rest:
+                if not slots[k]:
                     slots[k].append(slot)
-                    skipped[at] = (rank, s, k, 0)
-        carried = skipped
+        carried = skipped + rest
 
-    state.generated, state.dropped, state.transmitted_bits = generated, dropped, transmitted_bits
-    state.delivered_value, state.ages_sum_ms = delivered_value, ages_sum_ms
-    state.age_max_ms, state._carried = age_max_ms, [key[2] for key in carried]
-    state.slot = end
+    state.generated, state.dropped = generated, dropped + sum(drops)
+    state.transmitted_bits, state.delivered_value = transmitted_bits, delivered_value
+    state.ages_sum_ms, state.age_max_ms = ages_sum_ms, age_max_ms
+    state.slot, state._carried = end, [key[2] for key in carried]
     if hasattr(state.log, "flush"):  # a run or step leaves every row it sent in the file
         state.log.flush()
 
@@ -547,7 +546,7 @@ def _finalize(state: SimState) -> SimMetrics:
     delivered = dict.fromkeys(config.voi_config.sources, 0)
     for source, count in zip(state._sources, state._delivered):
         delivered[source] += count
-    delivered_n = sum(state._delivered)
+    delivered_n = sum(delivered.values())
     return SimMetrics(
         generated_count=state.generated,
         delivered_count=delivered,
@@ -566,13 +565,11 @@ def run(
     """Run the scenario end to end: its metrics and transmission log, deterministic.
 
     ``config`` is a scenario, validated and assessed first, or a prepared
-    ``SimState``, which the run copies and leaves unchanged.  The run is one
-    loop over all slots; ``step`` is its one-slot case.
-    With ``log=True`` the log is a ``TransmissionRecords`` list of the
-    records.  With ``log=False`` no record is built and the log returned is
-    ``None``.  Any other ``log``, such as a ``TransmissionLogWriter``, gets
-    each send's fields through its ``write_row`` as it is made and is
-    returned.
+    ``SimState``, which the run copies and leaves unchanged.  With
+    ``log=True`` the log is a ``TransmissionRecords`` list of the records.
+    With ``log=False`` no record is built and the log returned is ``None``.
+    Any other ``log``, such as a ``TransmissionLogWriter``, gets each send's
+    fields through its ``write_row`` as it is made and is returned.
     """
     _check_policy(policy)  # reject unknown policies before running
     state = copy(config)._start() if isinstance(config, SimState) else initial_state(config)

@@ -9,9 +9,9 @@ one cached order per ``gcd(slot, cycle)``.
 
 Before ``SimState._first_drop_slot`` a step evaluates no decay to look for
 drops; that slot must be the first at which some live generator's slot-0
-message, the oldest a queue can hold, is worth 0.  Once the budget left is
-below ``SimState._smallest_size`` a step pops no more keys from its sorted
-worklist.  ``SimState._carried``, the lanes the next slot starts from, must
+message, the oldest a queue can hold, is worth 0.  Once a send leaves the
+budget below ``SimState._smallest_size`` a step pops no more keys from its
+sorted worklist.  ``SimState._carried``, the lanes the next slot starts from, must
 name every non-empty lane once and no other lane.  ``_min_older_age`` must
 lie at or below every computed age of a message older than its slot, so a
 generator in ``SimState._tie_free`` cannot tie its fresh message with an
@@ -854,6 +854,45 @@ def test_huge_distinct_periods_prepare_in_under_a_second():
     assert state._cycle == 3
     for policy in ("voi", "fifo"):
         assert run(state, policy, log=False)[0].generated_count == 2000, policy
+
+
+# --- deliveries by conservation -----------------------------------------------
+
+
+def assert_delivered_counts_the_sends_after_every_step(config):
+    # A send counts nothing: SimState._delivered is each generator's emitted
+    # messages less its drops and its queue.  After every step it must equal
+    # the generator's sends in the log (a message id is slot * n + generator).
+    n = len(config.generators)
+    for policy in ("voi", "fifo"):
+        state = initial_state(config)
+        sent = [0] * n
+        for _ in range(config.duration_slots):
+            rows = len(state.log)
+            step(state, policy)
+            for record in state.log[rows:]:
+                sent[record.message_id % n] += 1
+            assert state._delivered == sent, (policy, state.slot)
+
+
+@pytest.mark.parametrize("name", ["overload", "underflow", "fleet-0"])
+def test_delivered_counts_the_sends_after_every_step(name, configs_dir):
+    config = {
+        "overload": lambda: load_scenario(configs_dir / "overload_scenario.json"),
+        "underflow": underflow_scenario,  # voi drops queued messages there
+        "fleet-0": lambda: benchmark_scenarios(configs_dir)["fleet-0"],  # dead generators too
+    }[name]()
+    if name == "underflow":
+        assert run(config, "voi", log=False)[0].dropped_count > 0
+    assert_delivered_counts_the_sends_after_every_step(config)
+
+
+@settings(
+    max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(config=fuzz_scenarios())
+def test_delivered_counts_the_sends_on_fuzzed_scenarios(config):
+    assert_delivered_counts_the_sends_after_every_step(config)
 
 
 # --- the prepared scenario ----------------------------------------------------
