@@ -66,29 +66,23 @@ rank with no evaluation.  A fifo lane is one such run from index 0, so
 fifo evaluates decay only for the drop check at a lane's old end and for
 the messages it sends.  A voi lane whose newest message is this slot's is
 keyed on it with no evaluation if its generator is tie-free: worth less at
-``_min_older_age`` than fresh, so no older message is worth as much.  A
-generator's deliveries are not counted per send: they are its emitted
-messages less its drops and its queue (``SimState._delivered``).
+``_min_older_age`` than fresh, so no older message is worth as much.
 
 A positive value reaches 0 only by float underflow, after about a
 thousand half-lives, so a slot before ``_first_drop_slot``, the first at
 which a live generator's slot-0 message would be worth 0, checks no drops.
 
-A run's state is one ``SimState``, whose private attributes hold the
-scenario's generator constants and the run's lanes.  ``initial_state``
-validates a scenario, assesses the voi config it checked and computes the
-constants once; ``run`` from that state runs on a copy with its own lanes
-and counters, so each policy's run shares and only reads them (``cli``
-prepares once for both).
-A run is one loop over its slots (``_advance``) that binds them and the
-decay helpers once and keeps the counters in locals until it returns;
-``step`` is its one-slot case.  A log is any object with
-``write_row(slot, message_id, source, effective_voi, size_bits)``, called
-once per send with the ``SourceKind``, and an optional ``flush()``, called
-when the loop returns: ``TransmissionRecords`` keeps a
-``TransmissionRecord``, and ``TransmissionLogWriter`` buffers the fields
-(the member's ``_value_``, cheaper than ``Enum.value``) and writes at most
-``BATCH_ROWS`` rows at a time, building no record.
+A run's state is one ``SimState``: the scenario's generator constants,
+which ``initial_state`` validates, assesses and computes once, and the
+run's lanes and drops, from which it derives the run's counts.  ``run``
+from that state runs on a copy with its own lanes, drops and sums, so
+runs share and only read the constants (``cli`` prepares once for both
+policies).  A run is one loop over its slots (``_advance``) that binds
+them and the decay helpers once, counts no message and keeps its float
+sums in locals until it returns; ``step`` is its one-slot case.  A log is
+any object with ``write_row(slot, message_id, source, effective_voi,
+size_bits)``, called once per send, and an optional ``flush()``, called
+when the loop returns (``TransmissionRecords``, ``TransmissionLogWriter``).
 
 Runs are single-threaded and fully deterministic: identical configs
 produce bit-identical metrics and transmission logs.
@@ -207,24 +201,24 @@ class _QueueView:
 class SimState:
     """Mutable per-run state; advance it with ``step``.
 
-    Public: the run's counters so far and ``log``, which gets each send
-    through its ``write_row`` (``TransmissionRecords`` by default, ``None``
-    for no log).  Private: the scenario's generator constants, shared by
-    the runs that ``run`` starts from this state, and the lanes.
-    ``_slots[k]`` holds the generation slots of generator ``k``'s queued
-    messages, oldest first, exactly at slot boundaries (within a slot, a
-    message that arrives in an empty lane joins it only when skipped or
-    left unwalked); ``_carried`` lists the lanes that were non-empty when
-    the last slot ended, each once, in key order: the lanes the next slot
-    keys.  ``_fresh[k]`` is generator ``k``'s message value at age 0 (a
-    generator whose fresh value is 0 never queues a message),
-    ``_tie_free[k]`` whether each of its messages older than its slot is
-    worth less than that, ``_drops[k]`` its queued messages dropped, and
+    Public: ``log``, which gets each send through its ``write_row``
+    (``TransmissionRecords`` by default, ``None`` for no log), the float sums
+    and the counts so far, read-only, derived from the slot, lanes and drops.
+    Private: the scenario's generator constants, shared by the runs that
+    ``run`` starts from this state, and the lanes.  ``_slots[k]`` holds the
+    generation slots of generator ``k``'s queued messages, oldest first,
+    exactly at slot boundaries (within a slot, a message that arrives in an
+    empty lane joins it only when skipped or left unwalked); ``_carried`` lists
+    the lanes that were non-empty when the last slot ended, each once, in key
+    order: the lanes the next slot keys.  ``_fresh[k]`` is generator ``k``'s
+    message value at age 0 (a generator whose fresh value is 0 never queues a
+    message), ``_tie_free[k]`` whether each of its messages older than its slot
+    is worth less than that, ``_drops[k]`` its queued messages dropped, and
     ``_delivered[k]`` its sends: emitted less ``_drops[k]`` and ``_slots[k]``.
     ``_smallest_size`` is the smallest size of a live generator's messages;
     before slot ``_first_drop_slot`` no queued message can have decayed to 0.
-    ``_periods[k]`` is generator ``k``'s period capped at the duration, and
-    ``_cycle`` their least common multiple.
+    ``_periods[k]`` is generator ``k``'s period capped at the duration (which
+    changes no count up to it), and ``_cycle`` their least common multiple.
     """
 
     def __init__(self, config: ScenarioConfig, base_scores: dict[SourceKind, float]):
@@ -264,8 +258,8 @@ class SimState:
         self._start()
 
     def _start(self) -> SimState:
-        """Put the run at slot 0: zeroed counters, a ``TransmissionRecords`` log, empty lanes."""
-        self.slot = self.generated = self.dropped = self.transmitted_bits = 0
+        """Put the run at slot 0: zeroed sums, a ``TransmissionRecords`` log, empty lanes."""
+        self.slot = 0
         self.delivered_value = self.ages_sum_ms = self.age_max_ms = 0.0
         self.log: TransmissionRecords | TransmissionLogWriter | None = TransmissionRecords()
         self._slots: list[deque[int]] = [deque() for _ in self._sizes]
@@ -278,6 +272,19 @@ class SimState:
     def _delivered(self) -> list[int]:
         return [-(-self.slot // p) - d - len(lane) if v > 0.0 else 0
                 for p, d, lane, v in zip(self._periods, self._drops, self._slots, self._fresh)]
+
+    @property
+    def generated(self) -> int:  # ceil(slot / period) each, capped or not, up to the duration
+        return sum(-(-self.slot // p) for p in self._periods)
+
+    @property
+    def dropped(self) -> int:  # a dead generator's every message, a live one's _drops
+        return sum(d if v > 0.0 else -(-self.slot // p)
+                   for p, d, v in zip(self._periods, self._drops, self._fresh))
+
+    @property
+    def transmitted_bits(self) -> int:  # a send takes exactly its generator's size from the budget
+        return sum(n * size for n, size in zip(self._delivered, self._sizes))
 
     @property
     def queue(self) -> _QueueView:
@@ -342,11 +349,9 @@ def _min_older_age(slot_ms: float, duration: int) -> float:
     return slot_ms * max(0.0, 1 - 4 * max(duration, 1) * 2.0**-53)
 
 
-def _arrival_order(periods, due: int, entries, fresh) -> tuple[int, int, list[tuple[float, int]]]:
-    """Generators whose period divides ``due``: emitting and dead counts, live entries sorted."""
-    emitting = [k for k, period in enumerate(periods) if due % period == 0]
-    order = sorted(entries[k] for k in emitting if fresh[k] > 0.0)
-    return len(emitting), len(emitting) - len(order), order
+def _arrival_order(periods, due: int, entries, fresh) -> list[tuple[float, int]]:
+    """The sorted entries of the live generators whose period divides ``due``."""
+    return sorted(entries[k] for k, p in enumerate(periods) if due % p == 0 and fresh[k] > 0.0)
 
 
 def _message(
@@ -399,13 +404,12 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     """Run slots ``state.slot`` to ``end - 1``, each as ``step`` describes.
 
     ``gcd(slot, cycle)`` keys the run's cache of arrival orders (at slot 0
-    it is the cycle, so every generator emits): the counts of emitting and
-    dead generators and the live ones' ``(rank, k)`` entries in key order,
-    one entry per generator shared by all orders.  A set of due generators
-    can have more than one key (for periods 4 and 6, keys 1, 2 and 3 all
-    mean none due).  Past ``ARRIVAL_ORDERS`` keys an order is built and not
-    kept; it is rebuilt identically at its key's next slot, so no output
-    depends on it.
+    it is the cycle, so every generator emits): the due live generators'
+    ``(rank, k)`` entries in key order, one entry per generator shared by
+    all orders.  A set of due generators can have more than one key (for
+    periods 4 and 6, keys 1, 2 and 3 all mean none due).  Past
+    ``ARRIVAL_ORDERS`` keys an order is built and not kept; it is rebuilt
+    identically at its key's next slot, so no output depends on it.
     """
     slots, fresh, sizes = state._slots, state._fresh, state._sizes
     bases, spaces, qualities = state._bases, state._spaces, state._qualities
@@ -418,10 +422,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
     tie_free = state._tie_free
     by_value = policy == "voi"
     write_row = None if state.log is None else state.log.write_row
-    # dropped counts those dead on arrival, drops[k] generator k's other drops
-    generated, dropped = state.generated, state.dropped - sum(drops)
-    transmitted_bits, delivered_value = state.transmitted_bits, state.delivered_value
-    ages_sum_ms, age_max_ms = state.ages_sum_ms, state.age_max_ms
+    delivered_value, ages_sum_ms, age_max_ms = (state.delivered_value, state.ages_sum_ms,
+                                                state.age_max_ms)
     entries = [(-v if by_value else 0.0, k) for k, v in enumerate(fresh)]
     # The carried lanes' fifo keys, in order (voi reads only their generators).
     carried = sorted((0.0, slots[k][0], k, 0) for k in state._carried)
@@ -450,9 +452,7 @@ def _advance(state: SimState, policy: str, end: int) -> None:
             order = _arrival_order(periods, due, entries, fresh)
             if len(orders) < ARRIVAL_ORDERS:
                 orders[due] = order
-        generated += order[0]
-        dropped += order[1]
-        for rank, k in order[2]:  # in key order: the new lanes' keys are one sorted run
+        for rank, k in order:  # in key order: the new lanes' keys are one sorted run
             lane = slots[k]
             if lane:
                 lane.append(slot)
@@ -501,7 +501,6 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                 write_row(slot, s * generators + k, sources[k], v, size)
             if remaining < smallest_size:  # no queued message fits
                 break
-        transmitted_bits += budget - remaining
         # A new lane's message past the walk (none if the walk took newest) joins its lane.
         rest = keys[at:]
         if rest and newest >= rest[0]:
@@ -510,9 +509,8 @@ def _advance(state: SimState, policy: str, end: int) -> None:
                     slots[k].append(slot)
         carried = skipped + rest
 
-    state.generated, state.dropped = generated, dropped + sum(drops)
-    state.transmitted_bits, state.delivered_value = transmitted_bits, delivered_value
-    state.ages_sum_ms, state.age_max_ms = ages_sum_ms, age_max_ms
+    state.delivered_value, state.ages_sum_ms, state.age_max_ms = (delivered_value, ages_sum_ms,
+                                                                  age_max_ms)
     state.slot, state._carried = end, [key[2] for key in carried]
     if hasattr(state.log, "flush"):  # a run or step leaves every row it sent in the file
         state.log.flush()
@@ -547,11 +545,12 @@ def _finalize(state: SimState) -> SimMetrics:
     for source, count in zip(state._sources, state._delivered):
         delivered[source] += count
     delivered_n = sum(delivered.values())
+    generated, dropped = state.generated, state.dropped
     return SimMetrics(
-        generated_count=state.generated,
+        generated_count=generated,
         delivered_count=delivered,
-        dropped_count=state.dropped,
-        residual_count=state.generated - state.dropped - delivered_n,  # what is still queued
+        dropped_count=dropped,
+        residual_count=generated - dropped - delivered_n,  # what is still queued
         delivered_value=state.delivered_value,
         mean_age_at_delivery_ms=state.ages_sum_ms / delivered_n if delivered_n else 0.0,
         max_age_at_delivery_ms=state.age_max_ms,

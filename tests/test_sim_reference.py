@@ -480,7 +480,7 @@ def test_queue_length_builds_no_message(monkeypatch):
 
     monkeypatch.setattr(sim, "Message", no_message)
     assert len(state.queue) == 3 * 50 - 50
-    # Deliveries are counted per generator; the metrics list every assessed
+    # Deliveries are derived per generator; the metrics list every assessed
     # source in config order, a source with no delivery as 0.
     for policy in POLICIES:
         metrics, _ = run(config, policy)
@@ -492,7 +492,7 @@ def test_queue_length_builds_no_message(monkeypatch):
 
 
 def test_the_residual_is_counted_without_measuring_the_queue(configs_dir, monkeypatch):
-    # residual = generated - dropped - delivered, from the run's counters.
+    # residual = generated - dropped - delivered, each derived from the state.
     # The reference measures its own queue, so the bundled overload checks
     # the value; the 20,000-slot run drops messages, so every term counts.
     def measured(self):

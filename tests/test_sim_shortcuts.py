@@ -759,9 +759,8 @@ def test_one_sorted_arrival_order_per_due_set(name, expected, configs_dir, monke
         orders = state._orders[policy]
         assert len(built) == len(set(built)) == len(orders) == expected, policy
         shared = {}
-        for emitting, dead, order in orders.values():
+        for order in orders.values():
             assert order == sorted(set(order)), policy  # strictly increasing in (rank, k)
-            assert 0 <= dead <= emitting == dead + len(order), policy
             for entry in order:
                 rank, k = entry
                 assert state._fresh[k] > 0.0, policy  # a live generator
@@ -807,7 +806,10 @@ def test_arrival_orders_past_the_bound_match_reference(name, monkeypatch):
 @given(data=st.data(), duration=st.integers(0, 40))
 def test_the_gcd_key_emits_the_generators_whose_period_divides_the_slot(data, duration):
     # Periods at, just past and far past the duration are capped to it, and
-    # each slot's emitting set and dead count must be those of the raw periods.
+    # each slot's emitting set must be that of the raw periods.  Stepped
+    # through every slot, the state's dropped count must be the dead
+    # (quality-0) generators' emissions under the raw periods: no live
+    # message can decay to 0 in 40 slots, so nothing else drops.
     period = st.integers(1, 13) | st.sampled_from([max(duration, 1), duration + 1, 10**300])
     periods = data.draw(st.lists(period, min_size=1, max_size=8))
     qualities = data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=len(periods),
@@ -816,15 +818,20 @@ def test_the_gcd_key_emits_the_generators_whose_period_divides_the_slot(data, du
                       duration=duration)
     state = sim.SimState(config, {SourceKind.SURROUNDING: 1.0})
     assert state._periods == [min(p, max(duration, 1)) for p in periods]
+    assert state._first_drop_slot == duration
     entries = [(0.0, k) for k in range(len(periods))]
+    dead = 0
     for t in range(duration):
         due = math.gcd(t, state._cycle)
         expected = [k for k, p in enumerate(periods) if t % p == 0]
         every = sim._arrival_order(state._periods, due, entries, [1.0] * len(periods))
-        assert every == (len(expected), 0, [(0.0, k) for k in expected]), t
+        assert every == [(0.0, k) for k in expected], t
         live = [k for k in expected if qualities[k] > 0.0]
         order = sim._arrival_order(state._periods, due, entries, state._fresh)
-        assert order == (len(expected), len(expected) - len(live), [(0.0, k) for k in live]), t
+        assert order == [(0.0, k) for k in live], t
+        dead += len(expected) - len(live)
+        step(state)
+        assert state.dropped == dead, t
 
 
 @pytest.mark.parametrize("duration", [0, 1, 300])
@@ -860,19 +867,27 @@ def test_huge_distinct_periods_prepare_in_under_a_second():
 
 
 def assert_delivered_counts_the_sends_after_every_step(config):
-    # A send counts nothing: SimState._delivered is each generator's emitted
-    # messages less its drops and its queue.  After every step it must equal
-    # the generator's sends in the log (a message id is slot * n + generator).
+    # The loop counts nothing: SimState._delivered is each generator's
+    # emitted messages less its drops and its queue, generated and
+    # transmitted_bits are derived from the capped periods and _delivered.
+    # After every step they must equal the generator's sends in the log (a
+    # message id is slot * n + generator), the bits of the logged sends and
+    # the emissions counted from the uncapped periods.
     n = len(config.generators)
+    periods = [g.period_slots for g in config.generators]
     for policy in ("voi", "fifo"):
         state = initial_state(config)
-        sent = [0] * n
+        sent, bits, emitted = [0] * n, 0, 0
         for _ in range(config.duration_slots):
+            emitted += sum(state.slot % p == 0 for p in periods)
             rows = len(state.log)
             step(state, policy)
             for record in state.log[rows:]:
                 sent[record.message_id % n] += 1
+                bits += record.size_bits
             assert state._delivered == sent, (policy, state.slot)
+            assert state.transmitted_bits == bits, (policy, state.slot)
+            assert state.generated == emitted, (policy, state.slot)
 
 
 @pytest.mark.parametrize("name", ["overload", "underflow", "fleet-0"])
