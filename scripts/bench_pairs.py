@@ -6,17 +6,23 @@
 Run it from the repository root.  The parent is extracted with ``git
 archive`` and the change is a copy of the working tree's files (tracked and
 untracked, less what ``.gitignore`` names), both under ``.perfbench_out/``,
-so neither holds a ``__pycache__``.  Each workload of ``BENCHMARK.json``
-runs ``--pairs`` pairs, one process at a time: both sides of pair ``p`` use
-seed ``first_seed + p``, and the parent runs first in even pairs, the change
-in odd ones.  Each side runs its own ``perfbench/run.py --trace 0`` with
-``PYTHONDONTWRITEBYTECODE=1``.
+so neither holds a ``__pycache__``.  Before the pairs, ``python -m
+compileall -q`` byte-compiles each side's tree, the standard library and
+numpy into that side's own ``PYTHONPYCACHEPREFIX``, also under
+``.perfbench_out/``, so no worker compiles what it imports: compiling
+``sim.py`` alone once set overload's peak RSS.  Each workload of
+``BENCHMARK.json`` runs ``--pairs`` pairs, one process at a time: both sides
+of pair ``p`` use seed ``first_seed + p``, and the parent runs first in even
+pairs, the change in odd ones.  Each side runs its own ``perfbench/run.py
+--trace 0`` with its prefix and ``PYTHONDONTWRITEBYTECODE=1``, so every
+worker loads the same bytecode and writes none.
 A run that exits non-zero or whose output check fails stops the driver
 (exit 1) before it writes anything.
 
 The output holds, per workload, each pair's end-to-end metrics with the
 run's attempted and failed counts and the ``__pycache__`` directories its
-tree held afterwards, and per metric a summary: both medians, both sides'
+tree held afterwards, the compile step and each side's prefix in
+``bytecode``, and per metric a summary: both medians, both sides'
 quartiles (``statistics.quantiles`` with ``QUARTILE_METHOD``) and the pairs
 the change won in the direction ``BENCHMARK.json`` gives (a tie counts for
 neither).  With ``--claim`` it also gives ``CLAIM_RULE``'s verdict on that
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -34,6 +41,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import sysconfig
 import tarfile
 from pathlib import Path
 
@@ -42,6 +50,8 @@ CLAIM_RULE = ("the change wins at least 9 in 10 of the pairs (a tie counts for n
               " its median beats the parent's by more than the parent's interquartile range")
 #: The fields of a run's record that are not end-to-end metrics.
 RUN_FIELDS = ("attempted", "failed", "pycache_dirs")
+#: What ``compileall`` skips: test directories, and every installed package but numpy.
+COMPILE_EXCLUDE = r"[/\\]tests?[/\\]|[/\\]site-packages[/\\](?!numpy[/\\])"
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -138,9 +148,44 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def compile_side(prefix: Path, directories: list[Path]) -> int:
+    """Byte-compile ``directories`` into the pycache prefix ``prefix``; its ``.pyc`` count.
+
+    An interpreter then starts once with the prefix and bytecode writes on,
+    which compiles what its site hooks (``.pth`` files) import at every start.
+    """
+    shutil.rmtree(prefix, ignore_errors=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix.resolve()))
+    argv = [sys.executable, "-m", "compileall", "-q", "-x", COMPILE_EXCLUDE, *map(str, directories)]
+    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "pass"], env=env, check=True)
+    return sum(1 for _ in prefix.rglob("*.pyc"))
+
+
+def bytecode_field(prefixes: dict[str, Path], compiled: dict[str, int]) -> dict:
+    """The ``bytecode`` field: how each side's bytecode was made and loaded."""
+    return {
+        "compile": "before the pairs, python -m compileall -q -x COMPILE_EXCLUDE of the side's"
+                   " tree, the standard library and numpy, then one interpreter start that"
+                   " writes the bytecode of what the site hooks import, each with"
+                   " PYTHONPYCACHEPREFIX set to the side's prefix",
+        "pycache_prefix": {side: prefix.as_posix() for side, prefix in prefixes.items()},
+        "compiled_pyc": compiled,
+        "workers": "PYTHONPYCACHEPREFIX set to the side's prefix and PYTHONDONTWRITEBYTECODE=1"
+                   " for the harness and every worker: each loads the compiled bytecode and"
+                   " writes none; pycache_dirs counts the __pycache__ directories each tree held"
+                   " after its run",
+        "comparable": "setup_s and peak_rss_mb cannot be compared with BENCH files up to"
+                      " BENCH_35.json, whose workers compiled the tree's modules from source"
+                      " at every start",
+    }
+
+
+def run_side(tree: Path, prefix: Path, workload: str, seed: int, seconds: float
+             ) -> tuple[dict, dict]:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its side record and environment."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(prefix.resolve()))
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
@@ -172,6 +217,11 @@ def main(argv=None) -> int:
     extract_parent(args.parent, trees["parent"])
     copy_worktree(trees["change"])
     harness_identical = harness_bytes(trees["parent"]) == harness_bytes(trees["change"])
+    prefixes = {side: Path(f".perfbench_out/pycache-{side}") for side in trees}
+    interpreter = [Path(sysconfig.get_paths()["stdlib"]),
+                   Path(importlib.util.find_spec("numpy").origin).parent]
+    compiled = {side: compile_side(prefixes[side], [tree, *interpreter])
+                for side, tree in trees.items()}
 
     environment = {}
     workload_runs = {}
@@ -184,7 +234,8 @@ def main(argv=None) -> int:
             for side in (first, "change" if first == "parent" else "parent"):
                 print(f"{workload} pair {p + 1}/{args.pairs} seed {seed}: {side}",
                       file=sys.stderr, flush=True)
-                pair[side], run_environment = run_side(trees[side], workload, seed, args.seconds)
+                pair[side], run_environment = run_side(trees[side], prefixes[side], workload,
+                                                       seed, args.seconds)
                 environment = environment or run_environment
             pairs.append(pair)
         workload_runs[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
@@ -204,8 +255,7 @@ def main(argv=None) -> int:
                    " side its own perfbench/ (parent from git archive, change copied from the"
                    " working tree), one run at a time, the first side alternating by pair",
         "harness_identical": harness_identical,
-        "bytecode": "PYTHONDONTWRITEBYTECODE=1 for the harness and every worker; pycache_dirs"
-                    " counts the __pycache__ directories each tree held after its run",
+        "bytecode": bytecode_field(prefixes, compiled),
         "environment": {key: environment.get(key) for key in ("cpu", "nproc", "python",
                                                                "platform", "numpy")},
         "quartile_method": QUARTILE_METHOD,

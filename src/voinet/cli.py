@@ -7,7 +7,8 @@ command reads its config file once (``config.read_*``) and checks it once,
 before any option's value, so a malformed file exits 2 before ``--gamma 12``.
 ``sweep`` assesses its whole gamma range in one batch (``model.assess_gammas``):
 one power iteration over the stack of attribute matrices, one per gamma, and
-one over the conditional matrices.
+one over the conditional matrices.  Its ``Assessment`` stays in columns: the
+CSV and the consistent region are read from its arrays, with no object per row.
 
 All emitted files are deterministic byte-for-byte given identical inputs;
 reals are formatted with six decimals.  The error's class sets the exit
@@ -41,17 +42,15 @@ import io
 import os
 import stat
 import sys
-from functools import partial
-from itertools import groupby
+from itertools import chain
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import ahp
 from .errors import ConfigError, DomainError, VoinetError
 from .config import read_scenario, read_voi_config
-from .model import VoiConfig, assess_gammas, validate_config
+from .model import Assessment, VoiConfig, assess_gammas, validate_config
 from .sim import TransmissionLogWriter, initial_state, run
 
 EXIT_OK = 0
@@ -64,22 +63,13 @@ EXIT_DOMAIN = 3
 MAX_STEPS = int(np.nextafter((np.iinfo(np.intp).max + 1) / 8, 0))
 
 
-class SweepRow(NamedTuple):
-    """Assessment outcome at one gamma value (an immutable tuple)."""
-
-    gamma: float
-    cr: float
-    is_consistent: bool
-    scores: tuple[float, ...]
-
-
 def gamma_sweep(
     config: VoiConfig,
     gamma_min: float = ahp.SAATY_MIN,
     gamma_max: float = ahp.SAATY_MAX,
     steps: int = 1000,
     spacing: str = "linear",
-) -> list[SweepRow]:
+) -> Assessment:
     """Assess the config at ``steps`` evenly spaced gammas, endpoints included.
 
     More than ``MAX_STEPS`` gammas raise ``MemoryError`` before any array
@@ -99,27 +89,26 @@ def gamma_sweep(
         gammas = np.geomspace(gamma_min, gamma_max, steps)
     else:
         raise DomainError(f"unknown spacing {spacing!r}; expected 'linear' or 'log'")
-    assessment = assess_gammas(config, gammas)
-    cr, ok = assessment.consistency_ratio.tolist(), assessment.is_consistent.tolist()
-    rows = zip(gammas.tolist(), cr, ok, map(tuple, assessment.scores.tolist()))
-    # tuple.__new__ makes each SweepRow without a Python-level __new__ call.
-    return list(map(partial(tuple.__new__, SweepRow), rows))
+    return assess_gammas(config, gammas)
 
 
-def consistent_region(rows: list[SweepRow]) -> list[tuple[float, float]]:
+def consistent_region(assessment: Assessment) -> list[tuple[float, float]]:
     """Maximal contiguous consistent gamma intervals, at sample resolution."""
-    runs = [list(run) for ok, run in groupby(rows, lambda row: row.is_consistent) if ok]
-    return [(run[0].gamma, run[-1].gamma) for run in runs]
+    # A run of consistent rows starts at one edge of the padded flags and stops before the next.
+    edges = np.flatnonzero(np.diff(assessment.is_consistent, prepend=False, append=False))
+    gammas = assessment.gammas
+    return list(zip(gammas[edges[::2]].tolist(), gammas[edges[1::2] - 1].tolist()))
 
 
-def write_sweep_csv(rows: list[SweepRow], config: VoiConfig, fh) -> None:
-    header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in config.sources]
-    fh.write(",".join(header) + "\n")
-    row_format = "%.6f,%.6f,%s" + ",%.6f" * len(config.sources) + "\n"  # %.6f is f"{x:.6f}"
-    values = []
-    for g, cr, ok, s in rows:
-        values += (g, cr, "true" if ok else "false", *s)
-    fh.write(row_format * len(rows) % tuple(values))
+def write_sweep_csv(assessment: Assessment, fh) -> None:
+    """One CSV row per gamma, formatted column by column with one ``%``."""
+    sources = assessment.config.sources
+    fh.write(",".join(["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in sources]) + "\n")
+    row_format = "%.6f,%.6f,%s" + ",%.6f" * len(sources) + "\n"  # %.6f is f"{x:.6f}"
+    ok = map(("false", "true").__getitem__, assessment.is_consistent.tolist())
+    columns = (assessment.gammas.tolist(), assessment.consistency_ratio.tolist(), ok,
+               *assessment.scores.T.tolist())
+    fh.write(row_format * len(assessment.gammas) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def _cmd_check(args) -> int:
@@ -145,7 +134,7 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     _reject_same_file(args, ("out", "config"))
     checked = validate_config(read_voi_config(args.config))
-    rows = gamma_sweep(
+    assessment = gamma_sweep(
         checked,
         gamma_min=args.gamma_min,
         gamma_max=args.gamma_max,
@@ -153,10 +142,10 @@ def _cmd_sweep(args) -> int:
         spacing="log" if args.log_space else "linear",
     )
     with _Output(args.out) as fh:
-        write_sweep_csv(rows, checked.config, fh)
-    intervals = consistent_region(rows)
+        write_sweep_csv(assessment, fh)
+    intervals = consistent_region(assessment)
     region = " ".join(f"[{lo:.6f}, {hi:.6f}]" for lo, hi in intervals) or "(none)"
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(assessment.gammas)} rows to {args.out}")
     print(f"consistent region: {region}")
     return EXIT_OK
 

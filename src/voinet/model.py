@@ -228,13 +228,14 @@ def instantiate_matrix(config: VoiConfig | CheckedConfig, gamma: float) -> np.nd
 class Assessment:
     """A checked ``config`` assessed at G gammas: row g of every array belongs to gamma g.
 
-    ``scores`` is ``(G, S)``, ordered like ``config.sources``;
-    ``attribute_weights`` is ``(G, A)``; ``lambda_max``,
-    ``consistency_ratio`` and ``is_consistent`` are ``(G,)`` and belong to
-    the instantiated attribute matrices.
+    ``gammas`` is the ``(G,)`` float array of those gammas; ``scores`` is
+    ``(G, S)``, ordered like ``config.sources``; ``attribute_weights`` is
+    ``(G, A)``; ``lambda_max``, ``consistency_ratio`` and ``is_consistent``
+    are ``(G,)`` and belong to the instantiated attribute matrices.
     """
 
     config: CheckedConfig
+    gammas: np.ndarray
     attribute_weights: np.ndarray
     lambda_max: np.ndarray
     consistency_ratio: np.ndarray
@@ -256,12 +257,14 @@ def assess_gammas(config: VoiConfig | CheckedConfig, gammas) -> Assessment:
     equals what solving gamma g alone gives, bit for bit.
     """
     checked = config if isinstance(config, CheckedConfig) else validate_config(config)
+    gammas = np.asarray(gammas, dtype=float)
     matrices = instantiate_matrices(checked, gammas)
     weights, lambda_max = ahp.principal_eigenvectors(matrices)
     _, cr, ok = ahp.consistency_ratios(lambda_max, matrices.shape[-1], checked.cr_threshold)
     conditional, _ = ahp.principal_eigenvectors(checked.conditional)
     return Assessment(
         config=checked,
+        gammas=gammas,
         attribute_weights=weights,
         lambda_max=lambda_max,
         consistency_ratio=cr,

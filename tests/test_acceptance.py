@@ -94,18 +94,19 @@ def test_acceptance_gamma_sweep_shape(configs_dir):
     failures = []
     config = load_voi_config(configs_dir / "safety.json")
     t0 = time.perf_counter()
-    rows = gamma_sweep(config, steps=1000)
+    sweep = gamma_sweep(config, steps=1000)
     elapsed = time.perf_counter() - t0
+    scores = sweep.scores.tolist()
 
-    sums = np.array([sum(row.scores) for row in rows])
+    sums = np.array([sum(row) for row in scores])
     note(
         failures,
         np.max(np.abs(sums - 1.0)) <= 1e-9,
         f"max |score sum - 1| = {np.max(np.abs(sums - 1.0)):.2e} > 1e-9",
     )
 
-    flags = [row.is_consistent for row in rows]
-    intervals = consistent_region(rows)
+    flags = sweep.is_consistent.tolist()
+    intervals = consistent_region(sweep)
     note(failures, len(intervals) == 1, f"expected one consistent interval, got {intervals}")
     region = [i for i, flag in enumerate(flags) if flag]
     note(failures, bool(region), "consistent region is empty")
@@ -118,8 +119,8 @@ def test_acceptance_gamma_sweep_shape(configs_dir):
             abs(lo - 1.089867645423201) <= 1e-9 and abs(hi - 8.288177065954843) <= 1e-9,
             f"consistent region [{lo}, {hi}] moved from the frozen endpoints",
         )
-        surrounding = np.array([rows[i].scores[0] for i in region])
-        position = np.array([rows[i].scores[1] for i in region])
+        surrounding = np.array([scores[i][0] for i in region])
+        position = np.array([scores[i][1] for i in region])
         note(
             failures,
             np.all(np.diff(surrounding) < 0.0),
@@ -132,7 +133,7 @@ def test_acceptance_gamma_sweep_shape(configs_dir):
         )
 
     # Decreasing in gamma at output precision over the whole range.
-    full_surrounding = np.array([row.scores[0] for row in rows])
+    full_surrounding = np.array([row[0] for row in scores])
     note(
         failures,
         np.all(np.diff(full_surrounding) <= 1e-6),

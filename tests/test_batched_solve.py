@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from voinet import ahp, model
-from voinet.cli import SweepRow, consistent_region, gamma_sweep, main
+from voinet.cli import consistent_region, gamma_sweep, main
 from voinet.config import load_voi_config
 from voinet.errors import ConfigError, ConvergenceError, DomainError, StructureError
 from voinet.model import (Attribute, assess, assess_gammas, instantiate_matrices,
@@ -173,19 +173,22 @@ def test_consistency_of_a_solved_vector_equals_solving_the_matrix():
 
 
 def test_sweep_rows_equal_one_gamma_assessments(bundled, sweep):
-    assert len(sweep) == 1000
-    for row in sweep:
-        scores, report = assess(bundled, row.gamma)
-        assert row.scores == tuple(float(s) for s in scores), row.gamma
-        assert row.cr == report.consistency_ratio, row.gamma
-        assert row.is_consistent == report.is_consistent, row.gamma
+    assert len(sweep.gammas) == 1000
+    rows = zip(sweep.gammas.tolist(), sweep.consistency_ratio.tolist(),
+               sweep.is_consistent.tolist(), sweep.scores.tolist())
+    for gamma, cr, ok, row_scores in rows:
+        scores, report = assess(bundled, gamma)
+        assert row_scores == scores.tolist(), gamma
+        assert cr == report.consistency_ratio, gamma
+        assert ok == report.is_consistent, gamma
 
 
-def test_sweep_rows_are_sweep_rows(sweep):
-    for row in sweep:
-        assert type(row) is SweepRow
-        assert (type(row.gamma), type(row.cr), type(row.is_consistent)) == (float, float, bool)
-        assert type(row.scores) is tuple
+def test_sweep_columns_are_the_assessment_at_its_gammas(sweep):
+    assert type(sweep) is model.Assessment
+    assert np.array_equal(sweep.gammas, np.linspace(1.0 / 9.0, 9.0, 1000))
+    columns = (sweep.gammas, sweep.consistency_ratio, sweep.is_consistent, sweep.scores)
+    assert [(c.dtype, c.shape) for c in columns] == [
+        (np.float64, (1000,)), (np.float64, (1000,)), (np.bool_, (1000,)), (np.float64, (1000, 2))]
 
 
 def test_sweep_scores_are_left_to_right_sums(bundled):
@@ -392,7 +395,8 @@ def bisect_threshold(config, lo, hi, threshold):
 
 
 def test_sweep_cr_matches_closed_form(bundled, sweep):
-    gaps = [abs(row.cr - closed_form_cr(bundled, row.gamma)) for row in sweep]
+    rows = zip(sweep.gammas.tolist(), sweep.consistency_ratio.tolist())
+    gaps = [abs(cr - closed_form_cr(bundled, gamma)) for gamma, cr in rows]
     assert max(gaps) <= 1e-12
 
 
@@ -408,7 +412,7 @@ def test_exact_consistent_region_brackets_the_sampled_one(bundled, sweep):
     [(sampled_lo, sampled_hi)] = consistent_region(sweep)
     assert sampled_lo == pytest.approx(1.089868, abs=1e-6)
     assert sampled_hi == pytest.approx(8.288177, abs=1e-6)
-    gammas = [row.gamma for row in sweep]
+    gammas = sweep.gammas.tolist()
     first, last = gammas.index(sampled_lo), gammas.index(sampled_hi)
     assert gammas[first - 1] < exact_lo <= sampled_lo
     assert sampled_hi <= exact_hi < gammas[last + 1]

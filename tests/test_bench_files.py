@@ -6,13 +6,15 @@ with the method the file records, or the one it was written with), and the
 number of pairs the change won, in the direction ``BENCHMARK.json`` gives
 the metric (a tie counts for neither side).  The pair driver,
 ``scripts/bench_pairs.py``, must build such summaries from canned
-``perfbench/run.py`` output and apply the claim rule to them.  No benchmark
-process runs.
+``perfbench/run.py`` output and apply the claim rule to them, and must
+byte-compile a tree into a pycache prefix and record that step.  No
+benchmark process runs.
 """
 
 import importlib.util
 import json
 import statistics
+import sys
 
 import pytest
 
@@ -136,3 +138,27 @@ def test_the_pair_driver_stops_on_a_failed_output_check():
         driver.parse_run(canned_run(100.0, failed=1))
     with pytest.raises(SystemExit):
         driver.parse_run("")
+
+
+def test_the_pair_driver_compiles_into_a_prefix_and_records_it(tmp_path):
+    driver = load_driver()
+    tree, prefix = tmp_path / "tree", tmp_path / "pycache-change"
+    (tree / "src").mkdir(parents=True)
+    (tree / "tests").mkdir()
+    (tree / "src" / "mod.py").write_text("VALUE = 1\n", encoding="utf-8")
+    (tree / "tests" / "test_mod.py").write_text("def test(): pass\n", encoding="utf-8")
+    compiled = driver.compile_side(prefix, [tree])
+    mirrored = prefix / tree.resolve().relative_to(tree.resolve().anchor)
+    assert [p.name for p in mirrored.rglob("*.pyc")] == [f"mod.{sys.implementation.cache_tag}.pyc"]
+    assert compiled == sum(1 for _ in prefix.rglob("*.pyc"))
+    assert not list(tree.rglob("__pycache__"))
+
+    field = driver.bytecode_field({"parent": tmp_path / "pycache-parent", "change": prefix},
+                                  {"parent": 1054, "change": compiled})
+    assert field["pycache_prefix"] == {"parent": (tmp_path / "pycache-parent").as_posix(),
+                                       "change": prefix.as_posix()}
+    assert field["compiled_pyc"] == {"parent": 1054, "change": compiled}
+    assert "compileall -q" in field["compile"]
+    assert "PYTHONPYCACHEPREFIX" in field["workers"]
+    assert "PYTHONDONTWRITEBYTECODE=1" in field["workers"]
+    assert all(word in field["comparable"] for word in ("setup_s", "peak_rss_mb", "BENCH_35"))

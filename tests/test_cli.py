@@ -3,8 +3,10 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -14,11 +16,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from voinet import cli
-from voinet.cli import SweepRow, consistent_region, gamma_sweep, main, write_sweep_csv
+from voinet.cli import consistent_region, gamma_sweep, main, write_sweep_csv
 from voinet.config import load_voi_config
 from voinet.errors import (
     ConfigError,
@@ -31,6 +34,8 @@ from voinet.errors import (
 )
 from voinet.model import SourceKind, assess_gammas
 from voinet.sim import TransmissionLogWriter
+
+from conftest import safety_config
 
 
 @pytest.fixture
@@ -47,19 +52,19 @@ def overload_path(configs_dir):
 
 
 def test_gamma_sweep_includes_endpoints(safety):
-    rows = gamma_sweep(safety, gamma_min=1.0, gamma_max=3.0, steps=5)
-    assert len(rows) == 5
-    assert rows[0].gamma == 1.0
-    assert rows[-1].gamma == 3.0
-    for row in rows:
-        assert sum(row.scores) == pytest.approx(1.0, abs=1e-9)
+    assessment = gamma_sweep(safety, gamma_min=1.0, gamma_max=3.0, steps=5)
+    assert len(assessment.gammas) == 5
+    assert assessment.gammas[0] == 1.0
+    assert assessment.gammas[-1] == 3.0
+    for scores in assessment.scores.tolist():
+        assert sum(scores) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gamma_sweep_log_spacing(safety):
-    rows = gamma_sweep(safety, gamma_min=1.0, gamma_max=4.0, steps=3, spacing="log")
-    assert rows[0].gamma == pytest.approx(1.0, abs=1e-12)
-    assert rows[1].gamma == pytest.approx(2.0, abs=1e-9)
-    assert rows[-1].gamma == pytest.approx(4.0, abs=1e-9)
+    gammas = gamma_sweep(safety, gamma_min=1.0, gamma_max=4.0, steps=3, spacing="log").gammas
+    assert gammas[0] == pytest.approx(1.0, abs=1e-12)
+    assert gammas[1] == pytest.approx(2.0, abs=1e-9)
+    assert gammas[-1] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_gamma_sweep_rejects_bad_arguments(safety):
@@ -82,11 +87,25 @@ def test_gamma_sweep_bounds_steps_by_what_numpy_can_hold(safety, spacing):
         gamma_sweep(safety, steps=cli.MAX_STEPS, spacing=spacing)
 
 
+@functools.cache
+def assessed_safety():
+    return assess_gammas(safety_config(), [3.0])
+
+
+def fabricated(gammas, cr, flags, scores, sources=None):
+    """A real assessment whose sweep columns are replaced by the given rows' values."""
+    base = assessed_safety()
+    config = dataclasses.replace(base.config, sources=sources) if sources else base.config
+    return dataclasses.replace(
+        base, config=config, gammas=np.array(gammas, dtype=float),
+        consistency_ratio=np.array(cr, dtype=float), is_consistent=np.array(flags, dtype=bool),
+        scores=np.array(scores, dtype=float).reshape(len(flags), len(config.sources)))
+
+
 def fabricated_rows(flags):
-    return [
-        SweepRow(gamma=float(i + 1), cr=0.0, is_consistent=flag, scores=(0.5, 0.5))
-        for i, flag in enumerate(flags)
-    ]
+    """Gammas 1, 2, ... flagged as given, each with CR 0 and scores (0.5, 0.5)."""
+    n = len(flags)
+    return fabricated([i + 1.0 for i in range(n)], [0.0] * n, flags, [[0.5, 0.5]] * n)
 
 
 def test_consistent_region_single_interval():
@@ -102,46 +121,83 @@ def test_consistent_region_islands():
     assert consistent_region(rows) == [(1.0, 2.0), (4.0, 4.0)]
 
 
+@pytest.mark.parametrize("flags, region", [
+    ([True, False, False], [(1.0, 1.0)]),  # a one-row run at row 0
+    ([True, True, False, False], [(1.0, 2.0)]),  # a run from row 0
+    ([False, False, True, True], [(3.0, 4.0)]),  # a run to row G - 1
+    ([False, False, True], [(3.0, 3.0)]),  # a one-row run at row G - 1
+    ([False, True, False], [(2.0, 2.0)]),  # a one-row run inside
+    ([True, False, True, False, True], [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)]),
+    ([False, True, False, True, False, True], [(2.0, 2.0), (4.0, 4.0), (6.0, 6.0)]),
+    ([True] * 5, [(1.0, 5.0)]),
+    ([False] * 5, []),
+    ([True], [(1.0, 1.0)]),
+    ([False], []),
+    ([], []),
+], ids=["one-at-0", "from-0", "to-last", "one-at-last", "one-inside", "alternating-from-true",
+        "alternating-from-false", "all", "none", "one-row-true", "one-row-false", "no-rows"])
+def test_consistent_region_edge_cases(flags, region):
+    intervals = consistent_region(fabricated_rows(flags))
+    assert intervals == region
+    assert all(type(lo) is float and type(hi) is float for lo, hi in intervals)
+
+
+def groupby_region(gammas, flags):
+    """The region as one ``itertools.groupby`` over the rows finds it."""
+    runs = [list(run) for ok, run in itertools.groupby(zip(gammas, flags), lambda r: r[1]) if ok]
+    return [(run[0][0], run[-1][0]) for run in runs]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.floats(1 / 9, 9.0)), max_size=60))
+def test_consistent_region_equals_a_groupby_over_the_rows(rows):
+    flags = [flag for flag, _ in rows]
+    gammas = sorted(gamma for _, gamma in rows)
+    assessment = fabricated(gammas, [0.0] * len(rows), flags, [[0.5, 0.5]] * len(rows))
+    assert consistent_region(assessment) == groupby_region(gammas, flags)
+
+
 @given(st.lists(st.booleans(), max_size=40))
 @example([])
 @example([True] * 7)
 @example([False] * 7)
 def test_consistent_region_is_every_maximal_run_of_consistent_rows_in_order(flags):
     rows = fabricated_rows(flags)
+    gammas = rows.gammas.tolist()
     intervals = consistent_region(rows)
     # A run starts at a consistent row after an inconsistent one or none,
     # and ends at one before an inconsistent one or none.
     padded = [False, *flags, False]
     starts = [i for i, flag in enumerate(flags) if flag and not padded[i]]
     ends = [i for i, flag in enumerate(flags) if flag and not padded[i + 2]]
-    assert intervals == [(rows[a].gamma, rows[b].gamma) for a, b in zip(starts, ends)]
-    for row in rows:
-        holding = sum(lo <= row.gamma <= hi for lo, hi in intervals)
-        assert holding == (1 if row.is_consistent else 0)
+    assert intervals == [(gammas[a], gammas[b]) for a, b in zip(starts, ends)]
+    for gamma, flag in zip(gammas, flags):
+        holding = sum(lo <= gamma <= hi for lo, hi in intervals)
+        assert holding == (1 if flag else 0)
 
 
-def test_write_sweep_csv_format(safety):
-    rows = [SweepRow(gamma=1.0, cr=0.117, is_consistent=False, scores=(0.25, 0.75))]
+def test_write_sweep_csv_format():
+    rows = fabricated([1.0], [0.117], [False], [[0.25, 0.75]])
     buf = io.StringIO()
-    write_sweep_csv(rows, safety, buf)
+    write_sweep_csv(rows, buf)
     assert buf.getvalue() == (
         "gamma,cr,consistent,voi_surrounding,voi_position\n"
         "1.000000,0.117000,false,0.250000,0.750000\n"
     )
 
 
-def reference_sweep_csv(rows, config):
+def reference_sweep_csv(assessment):
     """The sweep CSV formatted one row and one cell at a time."""
-    header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in config.sources]
+    header = ["gamma", "cr", "consistent"] + [f"voi_{s.value}" for s in assessment.config.sources]
     lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{row.gamma:.6f}", f"{row.cr:.6f}", "true" if row.is_consistent else "false"]
-        lines.append(",".join(cells + [f"{v:.6f}" for v in row.scores]))
+    for g in range(len(assessment.gammas)):
+        gamma, cr = float(assessment.gammas[g]), float(assessment.consistency_ratio[g])
+        cells = [f"{gamma:.6f}", f"{cr:.6f}", "true" if assessment.is_consistent[g] else "false"]
+        lines.append(",".join(cells + [f"{float(v):.6f}" for v in assessment.scores[g]]))
     return "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 300])
-def test_write_sweep_csv_matches_per_row_formatting(safety, n_rows):
+def test_write_sweep_csv_matches_per_row_formatting(n_rows):
     # Values that round at the sixth decimal, mixed with arbitrary ones.
     tricky = (5e-7, 2.5e-7, 0.1234565, 8.9999995)
     rng = random.Random(n_rows)
@@ -149,14 +205,25 @@ def test_write_sweep_csv_matches_per_row_formatting(safety, n_rows):
     def value():
         return rng.choice(tricky + (rng.uniform(0.0, 9.0),))
 
-    config = dataclasses.replace(safety, sources=tuple(SourceKind))
-    rows = [
-        SweepRow(value(), value(), i % 3 == 0, tuple(value() for _ in config.sources))
-        for i in range(n_rows)
-    ]
+    sources = tuple(SourceKind)
+    rows = [(value(), value(), i % 3 == 0, [value() for _ in sources]) for i in range(n_rows)]
+    columns = [[row[k] for row in rows] for k in range(4)]  # gammas, crs, flags, scores
+    assessment = fabricated(*columns, sources=sources)
     buf = io.StringIO()
-    write_sweep_csv(rows, config, buf)
-    assert buf.getvalue() == reference_sweep_csv(rows, config)
+    write_sweep_csv(assessment, buf)
+    assert buf.getvalue() == reference_sweep_csv(assessment)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1 / 9, 9.0), st.floats(1 / 9, 9.0), st.integers(2, 300),
+       st.sampled_from(["linear", "log"]))
+def test_write_sweep_csv_of_a_sweep_matches_per_cell_formatting(lo, hi, steps, spacing):
+    lo, hi = min(lo, hi), max(lo, hi)
+    assessment = gamma_sweep(safety_config(), gamma_min=lo, gamma_max=hi, steps=steps,
+                             spacing=spacing)
+    buf = io.StringIO()
+    write_sweep_csv(assessment, buf)
+    assert buf.getvalue() == reference_sweep_csv(assessment)
 
 
 # --- check ----------------------------------------------------------------
@@ -273,13 +340,15 @@ def test_sweep_csv_round_trips_values(tmp_path, safety_path):
     expected = gamma_sweep(load_voi_config(safety_path), gamma_min=1.0, gamma_max=9.0, steps=9)
     with open(out, newline="", encoding="utf-8") as fh:
         parsed = list(csv.DictReader(fh))
-    assert len(parsed) == len(expected)
-    for row, want in zip(parsed, expected):
-        assert float(row["gamma"]) == pytest.approx(want.gamma, abs=5e-7)
-        assert float(row["cr"]) == pytest.approx(want.cr, abs=5e-7)
-        assert row["consistent"] == ("true" if want.is_consistent else "false")
-        assert float(row["voi_surrounding"]) == pytest.approx(want.scores[0], abs=5e-7)
-        assert float(row["voi_position"]) == pytest.approx(want.scores[1], abs=5e-7)
+    assert len(parsed) == len(expected.gammas)
+    columns = (expected.gammas.tolist(), expected.consistency_ratio.tolist(),
+               expected.is_consistent.tolist(), expected.scores.tolist())
+    for row, (gamma, cr, ok, scores) in zip(parsed, zip(*columns)):
+        assert float(row["gamma"]) == pytest.approx(gamma, abs=5e-7)
+        assert float(row["cr"]) == pytest.approx(cr, abs=5e-7)
+        assert row["consistent"] == ("true" if ok else "false")
+        assert float(row["voi_surrounding"]) == pytest.approx(scores[0], abs=5e-7)
+        assert float(row["voi_position"]) == pytest.approx(scores[1], abs=5e-7)
 
 
 def test_sweep_log_space_flag(tmp_path, safety_path):
