@@ -6,27 +6,34 @@
 Run it from the repository root.  The parent is extracted with ``git
 archive`` and the change is a copy of the working tree's files (tracked and
 untracked, less what ``.gitignore`` names), both under ``.perfbench_out/``,
-so neither holds a ``__pycache__``.  Before the pairs, ``python -m
-compileall -q`` byte-compiles each side's tree, the standard library and
-numpy into that side's own ``PYTHONPYCACHEPREFIX``, also under
-``.perfbench_out/``, so no worker compiles what it imports: compiling
-``sim.py`` alone once set overload's peak RSS.  Each workload of
-``BENCHMARK.json`` runs ``--pairs`` pairs, one process at a time: both sides
-of pair ``p`` use seed ``first_seed + p``, and the parent runs first in even
-pairs, the change in odd ones.  Each side runs its own ``perfbench/run.py
---trace 0`` with its prefix and ``PYTHONDONTWRITEBYTECODE=1``, so every
-worker loads the same bytecode and writes none.
-A run that exits non-zero or whose output check fails stops the driver
-(exit 1) before it writes anything.
+so neither holds a ``__pycache__``.  Every pair is run in both
+``CONDITIONS``, each side its own ``perfbench/run.py --trace 0`` under
+``PYTHONDONTWRITEBYTECODE=1``, so no worker writes bytecode:
 
-The output holds, per workload, each pair's end-to-end metrics with the
-run's attempted and failed counts and the ``__pycache__`` directories its
-tree held afterwards, the compile step and each side's prefix in
-``bytecode``, and per metric a summary: both medians, both sides'
+* ``bytecode``: before the pairs, ``python -m compileall -q`` byte-compiles
+  each side's tree, the standard library and numpy into that side's own
+  ``PYTHONPYCACHEPREFIX``, also under ``.perfbench_out/``, and every worker
+  loads it, so none compiles what it imports (compiling ``sim.py`` alone
+  once set overload's peak RSS);
+* ``source``: no prefix, so every worker compiles the tree's ``src/`` from
+  source at every start, as ``python3 perfbench/run.py`` does in a fresh
+  checkout under ``PYTHONDONTWRITEBYTECODE=1``; the standard library and
+  numpy load the bytecode installed with them.
+
+Each workload of ``BENCHMARK.json`` runs ``--pairs`` pairs, one process at
+a time: both sides of pair ``p`` use seed ``first_seed + p`` in both
+conditions, and the parent runs first in even pairs, the change in odd
+ones.  A run that exits non-zero or whose output check fails stops the
+driver (exit 1) before it writes anything.
+
+The output holds, per condition and workload, each pair's end-to-end
+metrics with the run's attempted and failed counts and the ``__pycache__``
+directories its tree held afterwards, the compile step and each side's
+prefix in ``bytecode``, and per metric a summary: both medians, both sides'
 quartiles (``statistics.quantiles`` with ``QUARTILE_METHOD``) and the pairs
 the change won in the direction ``BENCHMARK.json`` gives (a tie counts for
 neither).  With ``--claim`` it also gives ``CLAIM_RULE``'s verdict on that
-workload's metric.  Standard library only.
+workload's metric in ``CLAIM_CONDITION``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +59,10 @@ CLAIM_RULE = ("the change wins at least 9 in 10 of the pairs (a tie counts for n
 RUN_FIELDS = ("attempted", "failed", "pycache_dirs")
 #: What ``compileall`` skips: test directories, and every installed package but numpy.
 COMPILE_EXCLUDE = r"[/\\]tests?[/\\]|[/\\]site-packages[/\\](?!numpy[/\\])"
+#: How the workers get the tree's bytecode: from the side's prefix, or by compiling its source.
+CONDITIONS = ("bytecode", "source")
+#: The condition the claim is judged in: a plain ``perfbench/run.py`` run compiles ``src/``.
+CLAIM_CONDITION = "source"
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -164,7 +175,7 @@ def compile_side(prefix: Path, directories: list[Path]) -> int:
 
 
 def bytecode_field(prefixes: dict[str, Path], compiled: dict[str, int]) -> dict:
-    """The ``bytecode`` field: how each side's bytecode was made and loaded."""
+    """The ``bytecode`` field: how each side's bytecode was made and loaded in each condition."""
     return {
         "compile": "before the pairs, python -m compileall -q -x COMPILE_EXCLUDE of the side's"
                    " tree, the standard library and numpy, then one interpreter start that"
@@ -172,20 +183,34 @@ def bytecode_field(prefixes: dict[str, Path], compiled: dict[str, int]) -> dict:
                    " PYTHONPYCACHEPREFIX set to the side's prefix",
         "pycache_prefix": {side: prefix.as_posix() for side, prefix in prefixes.items()},
         "compiled_pyc": compiled,
-        "workers": "PYTHONPYCACHEPREFIX set to the side's prefix and PYTHONDONTWRITEBYTECODE=1"
-                   " for the harness and every worker: each loads the compiled bytecode and"
-                   " writes none; pycache_dirs counts the __pycache__ directories each tree held"
-                   " after its run",
-        "comparable": "setup_s and peak_rss_mb cannot be compared with BENCH files up to"
-                      " BENCH_35.json, whose workers compiled the tree's modules from source"
-                      " at every start",
+        "workers": "PYTHONDONTWRITEBYTECODE=1 for the harness and every worker, so none writes"
+                   " bytecode; in the bytecode condition PYTHONPYCACHEPREFIX is set to the side's"
+                   " prefix and each loads the compiled bytecode; in the source condition it is"
+                   " unset and each compiles the tree's src/ from source, loading the standard"
+                   " library's and numpy's installed bytecode; pycache_dirs counts the"
+                   " __pycache__ directories each tree held after its run",
+        "comparable": "in the bytecode condition, setup_s and peak_rss_mb cannot be compared"
+                      " with BENCH files up to BENCH_35.json, whose workers compiled the tree's"
+                      " modules from source at every start, as the source condition's do",
     }
 
 
-def run_side(tree: Path, prefix: Path, workload: str, seed: int, seconds: float
+def worker_env(prefix: Path | None) -> dict:
+    """The environment of a run: no bytecode written, and loaded from ``prefix`` if one is given."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if prefix is not None:
+        env["PYTHONPYCACHEPREFIX"] = str(prefix.resolve())
+    return env
+
+
+def run_side(tree: Path, prefix: Path | None, workload: str, seed: int, seconds: float
              ) -> tuple[dict, dict]:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its side record and environment."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(prefix.resolve()))
+    """One ``perfbench/run.py --trace 0`` run in ``tree``: its side record and environment.
+
+    ``prefix`` is the side's pycache prefix, or ``None`` to compile ``src/`` from source.
+    """
+    env = worker_env(prefix)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
@@ -224,27 +249,31 @@ def main(argv=None) -> int:
                 for side, tree in trees.items()}
 
     environment = {}
-    workload_runs = {}
+    workload_runs = {condition: {} for condition in CONDITIONS}
     for workload in (w["name"] for w in spec["workloads"]):
-        pairs = []
+        pairs = {condition: [] for condition in CONDITIONS}
         for p in range(args.pairs):
             seed = args.first_seed + p
             first = "parent" if p % 2 == 0 else "change"
-            pair = {"seed": seed, "first": first}
-            for side in (first, "change" if first == "parent" else "parent"):
-                print(f"{workload} pair {p + 1}/{args.pairs} seed {seed}: {side}",
-                      file=sys.stderr, flush=True)
-                pair[side], run_environment = run_side(trees[side], prefixes[side], workload,
-                                                       seed, args.seconds)
-                environment = environment or run_environment
-            pairs.append(pair)
-        workload_runs[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            for condition in CONDITIONS:  # a pair's conditions run back to back, as its sides do
+                pair = {"seed": seed, "first": first}
+                for side in (first, "change" if first == "parent" else "parent"):
+                    print(f"{workload} pair {p + 1}/{args.pairs} seed {seed} {condition}: {side}",
+                          file=sys.stderr, flush=True)
+                    prefix = prefixes[side] if condition == "bytecode" else None
+                    pair[side], run_environment = run_side(trees[side], prefix, workload,
+                                                           seed, args.seconds)
+                    environment = environment or run_environment
+                pairs[condition].append(pair)
+        for condition, runs in pairs.items():
+            workload_runs[condition][workload] = {"pairs": runs,
+                                                  "summary": summarize(runs, better)}
 
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
-        claim = dict(workload=workload, metric=metric,
-                     **claim_verdict(workload_runs[workload]["summary"][metric]))
+        claim = dict(workload=workload, metric=metric, condition=CLAIM_CONDITION, **claim_verdict(
+            workload_runs[CLAIM_CONDITION][workload]["summary"][metric]))
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     doc = {
         "what": args.what,
@@ -261,7 +290,9 @@ def main(argv=None) -> int:
         "quartile_method": QUARTILE_METHOD,
         "claim_rule": CLAIM_RULE,
         "claim": claim,
-        "runs": {f"{args.seconds:g}s": {"run_seconds": args.seconds, "workloads": workload_runs}},
+        "runs": {f"{args.seconds:g}s {condition}": {"run_seconds": args.seconds,
+                                                     "condition": condition, "workloads": runs}
+                 for condition, runs in workload_runs.items()},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)

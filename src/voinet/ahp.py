@@ -14,13 +14,15 @@ same floats as a scalar loop over that matrix alone, on any CPU;
 lambda_max from a solve already done when given its ``WeightVector``.
 
 All functions are pure; a comparison matrix is a plain ``numpy`` array of
-positive judgment scores with unit diagonal and reciprocal symmetry.
+positive judgment scores with unit diagonal and reciprocal symmetry.  The
+records they return are ``NamedTuple``s: read-only, and cheaper to define
+at import than frozen dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,12 +51,11 @@ RECIPROCITY_RTOL = 1e-12
 ROW_SUM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant violation found in a comparison matrix.
 
     ``kind`` is one of ``"diagonal"``, ``"reciprocity"``, ``"saaty_bounds"``;
-    ``index`` is the offending (row, col) pair.
+    ``index`` is the offending (row, col) pair (the field hides ``tuple.index``).
     """
 
     kind: str
@@ -62,8 +63,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -71,16 +71,14 @@ class ValidationResult:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Normalized priority vector together with the dominant eigenvalue."""
 
     weights: np.ndarray
     lambda_max: float
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     lambda_max: float
     consistency_index: float
     consistency_ratio: float

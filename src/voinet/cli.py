@@ -9,6 +9,8 @@ before any option's value, so a malformed file exits 2 before ``--gamma 12``.
 one power iteration over the stack of attribute matrices, one per gamma, and
 one over the conditional matrices.  Its ``Assessment`` stays in columns: the
 CSV and the consistent region are read from its arrays, with no object per row.
+Only ``simulate`` imports ``sim``, as it runs: ``check`` and ``sweep`` never
+compile or load the scheduler.
 
 All emitted files are deterministic byte-for-byte given identical inputs;
 reals are formatted with six decimals.  The error's class sets the exit
@@ -51,7 +53,6 @@ from . import ahp
 from .errors import ConfigError, DomainError, VoinetError
 from .config import read_scenario, read_voi_config
 from .model import Assessment, VoiConfig, assess_gammas, validate_config
-from .sim import TransmissionLogWriter, initial_state, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -190,8 +191,10 @@ def _reject_same_file(args, *pairs) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim  # here, not at the top: check and sweep never load it
+
     _reject_same_file(args, ("log", "out"), ("out", "scenario"), ("log", "scenario"))
-    prepared = initial_state(read_scenario(args.scenario))  # checked and assessed once
+    prepared = sim.initial_state(read_scenario(args.scenario))  # checked and assessed once
     sources = prepared.config.voi_config.sources
     # --out, then --log, is opened before any run, so a file that cannot be
     # written fails first; an --out made here goes again if --log fails, and
@@ -208,8 +211,8 @@ def _cmd_simulate(args) -> int:
                 os.remove(args.out)
             raise
         with fh or contextlib.nullcontext():
-            voi = run(prepared, "voi", log=TransmissionLogWriter(fh) if fh else False)
-        results = {"voi": voi, "fifo": run(prepared, "fifo", log=False)}
+            voi = sim.run(prepared, "voi", log=sim.TransmissionLogWriter(fh) if fh else False)
+        results = {"voi": voi, "fifo": sim.run(prepared, "fifo", log=False)}
         header = ["scheduler", "generated", "delivered", "dropped", "residual"]
         header += [f"delivered_{s.value}" for s in sources]
         header += ["delivered_value", "mean_age_ms", "max_age_ms", "utilization"]

@@ -10,17 +10,23 @@ scenario built in code names its own (``voi_config.cr_threshold``).
 Numbers must be finite; integral fields take a whole float such as
 ``1000.0`` but never a boolean.  A key that no reader asks for, such as a
 misspelt ``cr_treshold``, is an error naming it, and so is a conditional
-matrix for an attribute that ``attributes`` does not list.
+matrix for an attribute that ``attributes`` does not list.  ``sim`` is
+imported by the first scenario read, so a value-assessment config is read
+without it.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import model, sim
+from . import model
 from .errors import ConfigError, is_number, is_positive, require
+
+if TYPE_CHECKING:
+    from . import sim
 
 #: Attribute-matrix cells that mark the gamma slot and its mirror.
 GAMMA_CELL = "gamma"
@@ -144,22 +150,32 @@ def voi_config_from_dict(doc) -> model.VoiConfig:
     return model.validate_config(_voi_config(doc, "document", "")).config
 
 
-SCENARIO_READERS = {
-    "duration_slots": _integer,
-    "slot_ms": _number,
-    "channel_bits_per_slot": _integer,
-    "generators": _list_of(_built(sim.GeneratorSpec, GENERATOR_READERS)),
-    "receiver_position": _position,
-    "voi_config": lambda value, path: _voi_config(value, path, path + "."),
-    "gamma": _number,
-}
+def _scenario(doc, validate: bool) -> sim.ScenarioConfig:
+    """A ``ScenarioConfig`` read from ``doc``, validated if ``validate`` is set.
+
+    ``sim`` is imported here, once per read, so that only a command that reads
+    a scenario compiles it.
+    """
+    from . import sim
+
+    readers = {
+        "duration_slots": _integer,
+        "slot_ms": _number,
+        "channel_bits_per_slot": _integer,
+        "generators": _list_of(_built(sim.GeneratorSpec, GENERATOR_READERS)),
+        "receiver_position": _position,
+        "voi_config": lambda value, path: _voi_config(value, path, path + "."),
+        "gamma": _number,
+    }
+    config = sim.ScenarioConfig(**_fields(doc, "document", "", readers))
+    if validate:
+        sim.validate_scenario(config)
+    return config
 
 
 def scenario_from_dict(doc) -> sim.ScenarioConfig:
     """Build and validate a ``ScenarioConfig`` from a parsed JSON document."""
-    config = sim.ScenarioConfig(**_fields(doc, "document", "", SCENARIO_READERS))
-    sim.validate_scenario(config)
-    return config
+    return _scenario(doc, validate=True)
 
 
 def _read_document(path):
@@ -180,7 +196,7 @@ def read_voi_config(path) -> model.VoiConfig:
 
 def read_scenario(path) -> sim.ScenarioConfig:
     """Read a simulation scenario from a JSON file, without validating it."""
-    return sim.ScenarioConfig(**_fields(_read_document(path), "document", "", SCENARIO_READERS))
+    return _scenario(_read_document(path), validate=False)
 
 
 def load_voi_config(path) -> model.VoiConfig:

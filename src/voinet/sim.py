@@ -129,6 +129,13 @@ class GeneratorSpec:
 
 @dataclass
 class ScenarioConfig:
+    """A scenario to simulate: plain data, which ``validate_scenario`` checks.
+
+    ``duration_slots`` slots of ``slot_ms`` each, a channel that carries
+    ``channel_bits_per_slot`` bits a slot, the ``generators`` and the
+    receiver's position; ``voi_config`` is assessed at ``gamma``.
+    """
+
     duration_slots: int
     slot_ms: float
     channel_bits_per_slot: int
@@ -138,8 +145,9 @@ class ScenarioConfig:
     gamma: float
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One generated message: its id, metadata and its source's assessed score."""
+
     id: int
     meta: Metadata
     base_voi: float
@@ -164,6 +172,13 @@ class TransmissionRecords(list):
 
 @dataclass
 class SimMetrics:
+    """A run's outcome: its message counts, the value and ages of its sends, and channel use.
+
+    ``delivered_count`` counts the sends per source, ``residual_count`` the
+    messages still queued at the end, and ``channel_utilization`` is the
+    share of the run's bit capacity that the sends took.
+    """
+
     generated_count: int
     delivered_count: dict[SourceKind, int]
     dropped_count: int

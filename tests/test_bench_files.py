@@ -7,8 +7,9 @@ number of pairs the change won, in the direction ``BENCHMARK.json`` gives
 the metric (a tie counts for neither side).  The pair driver,
 ``scripts/bench_pairs.py``, must build such summaries from canned
 ``perfbench/run.py`` output and apply the claim rule to them, and must
-byte-compile a tree into a pycache prefix and record that step.  No
-benchmark process runs.
+byte-compile a tree into a pycache prefix and record that step.  A file
+that records conditions must hold both, with the claim given in the one
+where every worker compiles ``src/``.  No benchmark process runs.
 """
 
 import importlib.util
@@ -162,3 +163,36 @@ def test_the_pair_driver_compiles_into_a_prefix_and_records_it(tmp_path):
     assert "PYTHONPYCACHEPREFIX" in field["workers"]
     assert "PYTHONDONTWRITEBYTECODE=1" in field["workers"]
     assert all(word in field["comparable"] for word in ("setup_s", "peak_rss_mb", "BENCH_35"))
+
+
+def test_the_pair_driver_runs_each_condition_with_its_bytecode(tmp_path, monkeypatch):
+    driver = load_driver()
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "outer"))
+    assert driver.CONDITIONS == ("bytecode", "source")
+    assert driver.CLAIM_CONDITION == "source"
+    prefixed = driver.worker_env(tmp_path / "pycache-change")
+    assert prefixed["PYTHONPYCACHEPREFIX"] == str((tmp_path / "pycache-change").resolve())
+    compiling = driver.worker_env(None)  # src/ is compiled at every start, as by run.py alone
+    assert "PYTHONPYCACHEPREFIX" not in compiling
+    assert prefixed["PYTHONDONTWRITEBYTECODE"] == compiling["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+@pytest.mark.parametrize("name", [name for name in BENCH_FILES if any(
+    "condition" in run for run in json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+    ["runs"].values())])
+def test_a_bench_file_with_conditions_records_both_and_claims_in_source(name):
+    doc = json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+    driver = load_driver()
+    conditions = {}
+    for length, run in doc["runs"].items():
+        assert length == f"{run['run_seconds']:g}s {run['condition']}"
+        conditions.setdefault(run["run_seconds"], []).append(run["condition"])
+    assert all(sorted(found) == sorted(driver.CONDITIONS) for found in conditions.values())
+    claim = doc["claim"]
+    if claim:
+        assert claim["condition"] == driver.CLAIM_CONDITION
+        summary = doc["runs"][f"{next(iter(conditions)):g}s {claim['condition']}"]["workloads"][
+            claim["workload"]]["summary"][claim["metric"]]
+        assert {key: claim[key] for key in ("change_better_pairs", "pairs", "median_gap",
+                                            "parent_iqr", "met")} == {
+            key: value for key, value in driver.claim_verdict(summary).items() if key != "rule"}

@@ -415,7 +415,7 @@ def test_simulate_unwritable_out_exits_1_before_any_run(
     monkeypatch, capsys, tmp_path, overload_path
 ):
     calls = []
-    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("voinet.sim.run", lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "missing" / "metrics.csv"
     log = tmp_path / "log.csv"
     code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
@@ -429,7 +429,7 @@ def test_simulate_unwritable_log_exits_1_before_any_run(
     monkeypatch, capsys, tmp_path, overload_path
 ):
     calls = []
-    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr("voinet.sim.run", lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "metrics.csv"
     log = tmp_path / "missing" / "log.csv"
     code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
@@ -647,7 +647,7 @@ def test_a_run_that_raises_leaves_the_new_prefix(
                 raise VoinetError("stopped")
             super().write_row(*fields)
 
-    monkeypatch.setattr(cli, "TransmissionLogWriter", Failing)
+    monkeypatch.setattr("voinet.sim.TransmissionLogWriter", Failing)
     for name in ("out", "log"):
         (tmp_path / f"{name}.csv").write_bytes(b"old,bytes\n" * 30_000)
     assert write_outputs("simulate", tmp_path, safety_path, overload_path) == 1
@@ -661,7 +661,7 @@ def test_a_run_that_raises_leaves_the_new_prefix(
 def test_an_unopenable_log_leaves_an_existing_out_empty(
     monkeypatch, capsys, tmp_path, overload_path
 ):
-    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("ran"))
+    monkeypatch.setattr("voinet.sim.run", lambda *args, **kwargs: pytest.fail("ran"))
     out = tmp_path / "metrics.csv"
     out.write_bytes(b"old\n" * 1000)
     log = tmp_path / "missing" / "log.csv"
