@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, CSV outputs, exit codes."""
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -308,15 +309,20 @@ def test_sweep_writes_csv(capsys, tmp_path, safety_path):
 
 
 @pytest.mark.parametrize("flags, region", [
-    ([], "[1.089868, 8.288177]"), (["--log-space"], "[1.089564, 8.278373]")])
+    ([], "[1.089868, 8.288177]"), (["--log-space"], "[1.089564, 8.278373]"),
+    (["--log-space", "--steps", "17"], "[1.316074, 6.838521]"),
+    (["--gamma-min", "3", "--gamma-max", "3", "--steps", "2"], "[3.000000, 3.000000]")])
 def test_sweep_prints_its_row_count_and_the_consistent_region(
         capsysbinary, tmp_path, safety_path, flags, region):
     # The bundled profile keeps CR <= 0.1 over one gamma interval: the
     # paper's consistency result, as the default 1000-step sweep finds it.
+    # A one-point range's region is that one point.
+    rows = int(flags[flags.index("--steps") + 1]) if "--steps" in flags else 1000
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", safety_path, "--out", str(out), *flags]) == 0
     stdout = capsysbinary.readouterr().out
-    assert stdout == f"wrote 1000 rows to {out}\nconsistent region: {region}\n".encode()
+    assert stdout == f"wrote {rows} rows to {out}\nconsistent region: {region}\n".encode()
+    assert len(out.read_bytes().splitlines()) == rows + 1
 
 
 def test_sweep_row_at_gamma_three_is_consistent(tmp_path, safety_path):
@@ -377,10 +383,41 @@ def test_sweep_missing_config_exits_2(tmp_path):
 # --- simulate ---------------------------------------------------------------
 
 
+def _set_periods(doc, periods):
+    for generator, period in zip(doc["generators"], periods):
+        generator["period_slots"] = period
+
+
+#: Edits of the bundled overload that reach what it does not: 6000 slots cross
+#: fifo's drop gate (slot 5357), under a half-life of 1e300 ms no generator is
+#: tie-free, and periods 4, 6, 9 and 1000 (past the 200-slot duration) key
+#: arrivals by several gcds.
+SCENARIO_EDITS = {
+    "drop-gate": lambda doc: doc.update(duration_slots=6000),
+    "no-decay": lambda doc: doc["voi_config"]["decay"].update(time_half_life_ms=1e300),
+    "periods": lambda doc: _set_periods(doc, (4, 6, 9, 1000)),
+}
+
+
 def test_simulate_emits_metrics_and_log(capsys, tmp_path, overload_path):
+    assert_simulate_outputs(capsys, tmp_path, json.loads(Path(overload_path).read_text("utf-8")))
+
+
+@pytest.mark.parametrize("edit", SCENARIO_EDITS)
+def test_simulate_emits_metrics_and_log_past_the_bundled_scenario(
+        capsys, tmp_path, overload_path, edit):
+    doc = json.loads(Path(overload_path).read_text(encoding="utf-8"))
+    SCENARIO_EDITS[edit](doc)
+    assert_simulate_outputs(capsys, tmp_path, doc)
+
+
+def assert_simulate_outputs(capsys, tmp_path, doc):
+    """``simulate --log`` on the scenario ``doc``: both rows, and voi's log against its row."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "metrics.csv"
     log = tmp_path / "log.csv"
-    code = main(["simulate", "--scenario", overload_path, "--out", str(out), "--log", str(log)])
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out), "--log", str(log)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "scheduler=voi" in stdout
@@ -396,13 +433,25 @@ def test_simulate_emits_metrics_and_log(capsys, tmp_path, overload_path):
         rows = {row["scheduler"]: row for row in csv.DictReader(fh)}
     assert set(rows) == {"voi", "fifo"}
     assert float(rows["voi"]["delivered_value"]) > float(rows["fifo"]["delivered_value"])
+    sources = doc["voi_config"]["sources"]
     for row in rows.values():
         assert int(row["generated"]) == (
             int(row["delivered"]) + int(row["dropped"]) + int(row["residual"])
         )
+        assert int(row["delivered"]) == sum(int(row[f"delivered_{s}"]) for s in sources)
     log_lines = log.read_text(encoding="utf-8").splitlines()
     assert log_lines[0] == "slot,message_id,source,effective_voi,size_bits"
-    assert len(log_lines) > 1
+    # Both relations above hold by how the metrics are derived, so voi's log
+    # is counted too: its rows are voi's sends, by source and by slot.
+    with open(log, newline="", encoding="utf-8") as fh:
+        sends = list(csv.DictReader(fh))
+    assert len(sends) == int(rows["voi"]["delivered"]) > 0
+    logged = collections.Counter(send["source"] for send in sends)
+    assert logged == collections.Counter({s: int(rows["voi"][f"delivered_{s}"]) for s in sources})
+    bits = collections.Counter()
+    for send in sends:
+        bits[int(send["slot"])] += int(send["size_bits"])
+    assert max(bits.values()) <= doc["channel_bits_per_slot"]
 
 
 def test_simulate_log_is_optional(tmp_path, overload_path):
